@@ -40,12 +40,11 @@ object JoinOps {
   /** Baseline join: both tables fully transferred, everything in Spark. */
   def baseline(spark: SparkSession, p: Params, scale: Double): PlanResult = {
     Sim.reset()
-    val client = new S3Client()
     val cust = Sim.inPhase("build") { force(customerSide(spark, p, pushdown = false)) }
     val ords = Sim.inPhase("probe") { force(ordersSide(spark, p, pushdown = false)) }
     val df = Sim.inPhase("join") {
-      Sim.currentPhase.localWork(cust.count() + ords.count(), Model.RowHash)
-      force(joinAndSum(cust, ords))
+      Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
+      force(joinAndSum(cust.df, ords.df)).df
     }
     finish(df, Seq(Seq("build", "probe"), Seq("join")), scale)
   }
@@ -58,8 +57,8 @@ object JoinOps {
     val cust = Sim.inPhase("build") { force(customerSide(spark, p, pushdown = true)) }
     val ords = Sim.inPhase("probe") { force(ordersSide(spark, p, pushdown = true)) }
     val df = Sim.inPhase("join") {
-      Sim.currentPhase.localWork(cust.count() + ords.count(), Model.RowHash)
-      force(joinAndSum(cust, ords))
+      Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
+      force(joinAndSum(cust.df, ords.df)).df
     }
     finish(df, Seq(Seq("build", "probe"), Seq("join")), scale)
   }
@@ -72,7 +71,7 @@ object JoinOps {
   def bloom(spark: SparkSession, p: Params, scale: Double): PlanResult = {
     Sim.reset()
     val cust = Sim.inPhase("build") { force(customerSide(spark, p, pushdown = true)) }
-    val keys = cust.select("c_custkey").collect().map(_.getLong(0))
+    val keys = cust.df.select("c_custkey").collect().map(_.getLong(0))
     Sim.phase("build").localWork(keys.length.toLong, Model.RowLight) // filter construction
 
     BloomFilter.buildWithinLimit(keys, p.fpr, "o_custkey") match {
@@ -82,8 +81,8 @@ object JoinOps {
             extraWhere = Some(filter.toSqlPredicate("o_custkey"))))
         }
         val df = Sim.inPhase("join") {
-          Sim.currentPhase.localWork(cust.count() + ords.count(), Model.RowHash)
-          force(joinAndSum(cust, ords))
+          Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
+          force(joinAndSum(cust.df, ords.df)).df
         }
         finish(df, Seq(Seq("build"), Seq("probe"), Seq("join")), scale,
           Map("fpr" -> usedFpr.toString, "bloomBits" -> filter.m.toString,
@@ -93,8 +92,8 @@ object JoinOps {
         // build side finished (serial).
         val ords = Sim.inPhase("probe") { force(ordersSide(spark, p, pushdown = true)) }
         val df = Sim.inPhase("join") {
-          Sim.currentPhase.localWork(cust.count() + ords.count(), Model.RowHash)
-          force(joinAndSum(cust, ords))
+          Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
+          force(joinAndSum(cust.df, ords.df)).df
         }
         finish(df, Seq(Seq("build"), Seq("probe"), Seq("join")), scale,
           Map("fpr" -> "degraded"))

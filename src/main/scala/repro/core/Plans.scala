@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.{count, lit}
 import repro.s3._
 
 /** Result of executing one operator strategy / query plan: the (real)
@@ -19,6 +20,9 @@ final case class PlanResult(
   def getRequests: Long   = phases.map(_.getRequests).sum
 }
 
+/** A frame materialized by [[Plans.force]], and its row count. */
+final case class Forced(df: DataFrame, rows: Long)
+
 object Plans {
 
   /** Read a stored table through the `s3select` DataSource. */
@@ -30,14 +34,24 @@ object Plans {
     extraWhere.fold(r)(w => r.option("extraWhere", w)).load()
   }
 
-  /** Force `df` inside the current phase so its scan metrics are recorded
-    * exactly once; later actions hit the cache.
+  /** Materialize `df` inside the current phase with one Spark job, so its
+    * scan metrics are recorded exactly once and later actions read the
+    * materialized rows instead of the store.
+    *
+    * `localCheckpoint` keeps the frame's partitioning (one partition per
+    * stored object for a scan), so Spark's partial aggregates downstream
+    * keep their order. It registers nothing in the `CacheManager`: Spark's
+    * `ContextCleaner` frees the blocks once the frame is unreachable. The
+    * row count is observed by the same job, so callers that charge
+    * `localWork` per row need no second action.
     */
-  def force(df: DataFrame): DataFrame = {
-    df.persist()
-    df.count()
-    df
+  def force(df: DataFrame): Forced = {
+    val observed = df.observe(RowsMetric, count(lit(1)))
+    val materialized = observed.localCheckpoint(eager = true)
+    Forced(materialized, observed.queryExecution.observedMetrics(RowsMetric).getLong(0))
   }
+
+  private val RowsMetric = "rows"
 
   /** Modeled runtime of a timeline: outer Seq = sequential stages, inner
     * Seq = phases running in parallel within a stage (max).

@@ -1,5 +1,7 @@
 package repro.s3
 
+import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Executors}
+import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.sql.types.StructType
 import SelectAst.SelectQuery
 
@@ -7,38 +9,55 @@ import SelectAst.SelectQuery
   * and byte-range GETs. Every call attributes its traffic to the current
   * [[Sim]] phase. Queries are submitted as SQL *strings* — parsed here with
   * the 256 KB limit enforced, exactly like the real service.
+  *
+  * A select sends one request per object. As in PushdownDB, the requests of
+  * a query without `LIMIT` run in parallel, on a fixed pool with one thread
+  * per core; their results and metrics are recorded on the calling thread in
+  * object-key order, so rows and [[Sim]] counters do not depend on which
+  * request finishes first.
   */
 final class S3Client(store: S3Store = S3Store.global, bucket: String = S3Client.DefaultBucket) {
 
   /** Run one S3 Select query against every object with the given prefix
-    * (one request per object, as PushdownDB issues them in parallel) and
-    * concatenate the results.
+    * and concatenate the results in object-key order.
     */
   def select(tableName: String, sql: String): Vector[Array[String]] = {
     val q = SelectParser.parse(sql)
     selectParsed(tableName, q)
   }
 
-  /** Like [[select]] but stops issuing per-object requests once `limit`
-    * rows have been produced (used by sampling algorithms: "read the first
-    * S records", §VII-A).
+  /** [[select]] for a parsed query. A query with `LIMIT` is sent to one
+    * object after another and stops once `limit` rows have been produced
+    * (used by sampling algorithms: "read the first S records", §VII-A), so
+    * only the objects it reached are charged.
     */
   def selectParsed(tableName: String, q: SelectQuery): Vector[Array[String]] = {
-    val keys = objectKeys(tableName)
-    val out  = Vector.newBuilder[Array[String]]
-    var produced = 0L
-    val limit = q.limit.getOrElse(Long.MaxValue)
-    val it = keys.iterator
-    while (it.hasNext && produced < limit) {
-      val remaining = limit - produced
-      val perObj =
-        if (q.limit.isDefined) q.copy(limit = Some(remaining))
-        else q
-      val res = SelectEngine.run(store.get(bucket, it.next()), perObj)
+    val objects = objectKeys(tableName).map(store.get(bucket, _))
+    val out = Vector.newBuilder[Array[String]]
+    def record(res: SelectEngine.Result): Unit = {
       Sim.currentPhase.recordSelect(res.scannedBytes, res.returnedBytes, res.exprFactor)
       Sim.currentPhase.localParse(res.returnedBytes) // server parses the CSV response
       out ++= res.rows
-      produced += res.rows.size
+    }
+    q.limit match {
+      case None =>
+        val requests = objects.map { obj =>
+          S3Client.requestPool.submit(new Callable[SelectEngine.Result] {
+            def call(): SelectEngine.Result = SelectEngine.run(obj, q)
+          })
+        }
+        requests.foreach { r =>
+          // a failed request fails the select with its own exception
+          record(try r.get() catch { case e: ExecutionException => throw e.getCause })
+        }
+      case Some(limit) =>
+        var produced = 0L
+        val it = objects.iterator
+        while (it.hasNext && produced < limit) {
+          val res = SelectEngine.run(it.next(), q.copy(limit = Some(limit - produced)))
+          record(res)
+          produced += res.rows.size
+        }
     }
     out.result()
   }
@@ -89,4 +108,16 @@ final class S3Client(store: S3Store = S3Store.global, bucket: String = S3Client.
 
 object S3Client {
   val DefaultBucket = "tpch"
+
+  /** Threads that serve parallel S3 Select requests: one per core. Daemon
+    * threads, so an idle pool never keeps the JVM alive.
+    */
+  private val requestPool: ExecutorService = {
+    val n = new AtomicInteger
+    Executors.newFixedThreadPool(Runtime.getRuntime.availableProcessors, (r: Runnable) => {
+      val t = new Thread(r, s"s3-select-${n.incrementAndGet()}")
+      t.setDaemon(true)
+      t
+    })
+  }
 }

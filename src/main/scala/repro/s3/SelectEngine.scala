@@ -207,10 +207,22 @@ object SelectEngine {
       }
       case Arith(op, l, r) => arith(op, eval(l, row, ctx), eval(r, row, ctx))
       case Cmp(op, l, r)   => cmp(op, eval(l, row, ctx), eval(r, row, ctx))
-      case And(l, r) =>
-        if (!SValue.asBool(eval(l, row, ctx))) SBool(false) else eval(r, row, ctx)
-      case Or(l, r) =>
-        if (SValue.asBool(eval(l, row, ctx))) SBool(true) else eval(r, row, ctx)
+      // SQL three-valued logic: FALSE decides AND and TRUE decides OR even
+      // when the other operand is NULL; otherwise a NULL operand gives NULL.
+      case And(l, r) => logical(eval(l, row, ctx)) match {
+        case f @ SBool(false) => f
+        case a => logical(eval(r, row, ctx)) match {
+          case f @ SBool(false) => f
+          case b => if (a.isNull) SNull else b
+        }
+      }
+      case Or(l, r) => logical(eval(l, row, ctx)) match {
+        case t @ SBool(true) => t
+        case a => logical(eval(r, row, ctx)) match {
+          case t @ SBool(true) => t
+          case b => if (a.isNull) SNull else b
+        }
+      }
       case Not(x) => eval(x, row, ctx) match {
         case SBool(b) => SBool(!b)
         case SNull    => SNull
@@ -245,6 +257,12 @@ object SelectEngine {
           case None         => otherwise.map(eval(_, row, ctx)).getOrElse(SNull)
         }
       case AggCall(f, _) => throw new EvalException(s"aggregate $f outside aggregate context")
+    }
+
+    /** A TRUE / FALSE / NULL operand of AND or OR. */
+    private def logical(v: SValue): SValue = v match {
+      case SBool(_) | SNull => v
+      case other            => throw new EvalException(s"not a boolean: $other")
     }
 
     /** Evaluate a projection containing aggregate results. */

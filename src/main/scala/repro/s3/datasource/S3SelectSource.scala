@@ -155,34 +155,35 @@ final class S3SelectScan(opts: S3SelectOptions, outSchema: StructType, query: Se
   override def createReaderFactory(): PartitionReaderFactory = {
     // Render → string → parse round-trip: enforces the 256 KB limit on the
     // exact bytes that would go over the wire (extraWhere can be a large
-    // Bloom-filter predicate).
-    val sql = if (pushdownUsed) Some(SqlRender.render(query)) else None
-    sql.foreach(SelectParser.parse)
-    new S3SelectReaderFactory(opts, outSchema, sql, projIdx)
+    // Bloom-filter predicate). The readers run the query parsed here.
+    val parsed = if (pushdownUsed) Some(SelectParser.parse(SqlRender.render(query))) else None
+    new S3SelectReaderFactory(opts, outSchema, parsed, projIdx)
   }
 }
 
 final case class S3SelectInputPartition(key: String) extends InputPartition
 
+/** @param query the parsed S3 Select query, or None for whole-object GETs */
 final class S3SelectReaderFactory(opts: S3SelectOptions, outSchema: StructType,
-                                  sql: Option[String], projIdx: Option[Array[Int]])
+                                  query: Option[SelectQuery], projIdx: Option[Array[Int]])
     extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
     val key = partition.asInstanceOf[S3SelectInputPartition].key
-    new S3SelectPartitionReader(opts, outSchema, sql, projIdx, key)
+    new S3SelectPartitionReader(opts, outSchema, query, projIdx, key)
   }
 }
 
 final class S3SelectPartitionReader(opts: S3SelectOptions, outSchema: StructType,
-                                    sql: Option[String], projIdx: Option[Array[Int]], key: String)
+                                    query: Option[SelectQuery], projIdx: Option[Array[Int]],
+                                    key: String)
     extends PartitionReader[InternalRow] {
 
   private lazy val rows: Iterator[Array[String]] = {
     val obj   = S3Store.global.get(opts.bucket, key)
     val phase = Sim.currentPhase
-    sql match {
-      case Some(s) =>
-        val res = SelectEngine.run(obj, SelectParser.parse(s))
+    query match {
+      case Some(q) =>
+        val res = SelectEngine.run(obj, q)
         phase.recordSelect(res.scannedBytes, res.returnedBytes, res.exprFactor)
         phase.localParse(res.returnedBytes) // server parses the CSV response
         res.rows.iterator

@@ -134,12 +134,12 @@ object Tpch {
     Sim.reset()
     val client = new S3Client()
     val dfs = q.tables.map { t =>
-      t -> Sim.inPhase(s"load:$t") { force(read(spark, t, pushdown = false)) }
+      t -> Sim.inPhase(s"load:$t") { force(read(spark, t, pushdown = false)).df }
     }
     dfs.foreach { case (t, d) => d.createOrReplaceTempView(t) }
     val df = Sim.inPhase("local") {
       Sim.currentPhase.localWork(q.tables.map(client.tableRows).sum, Model.RowHash)
-      force(spark.sql(q.sparkSql))
+      force(spark.sql(q.sparkSql)).df
     }
     finish(df, Seq(q.tables.map(t => s"load:$t"), Seq("local")), scale)
   }
@@ -183,7 +183,11 @@ object Tpch {
       val totals = Array.fill(groups.size * terms.size)(0.0)
       partials.foreach { row =>
         var i = 0
-        while (i < totals.length) { totals(i) += row(i).toDouble; i += 1 }
+        while (i < totals.length) {
+          // an object with no rows returns NULL (an empty cell) for SUM
+          if (row(i).nonEmpty) totals(i) += row(i).toDouble
+          i += 1
+        }
       }
       totals
     }
@@ -196,7 +200,7 @@ object Tpch {
       val base = gi * terms.size
       Row(rf, ls, sums(base), sums(base + 1), sums(base + 2), sums(base + 3), sums(base + 4).toLong)
     }
-    val df = force(spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), schema))
+    val df = force(spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), schema)).df
     finish(df, Seq(Seq("groups"), Seq("caseagg")), scale)
   }
 
@@ -221,7 +225,7 @@ object Tpch {
         .where(col("o_orderdate") < lit(Q3Date).cast("date"))
         .select("o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"))
     }
-    val orderKeys = orders.select("o_orderkey").collect().map(_.getLong(0))
+    val orderKeys = orders.df.select("o_orderkey").collect().map(_.getLong(0))
     Sim.phase("orders").localWork(orderKeys.length.toLong, Model.RowLight)
     val bloom2 = BloomFilter.buildWithinLimit(orderKeys, 0.01, "l_orderkey").map(_._1)
 
@@ -233,17 +237,18 @@ object Tpch {
     }
 
     val df = Sim.inPhase("local") {
-      Sim.currentPhase.localWork(custKeys.length + orders.count() + lines.count(), Model.RowHash)
+      Sim.currentPhase.localWork(custKeys.length + orders.rows + lines.rows, Model.RowHash)
       val cust = TableCatalog.toDataFrame(spark,
         custKeys.map(k => Array(k.toString)),
         StructType(Seq(StructField("c_custkey", LongType))))
+      val (l, o) = (lines.df, orders.df)
       force(
-        lines.join(orders, lines("l_orderkey") === orders("o_orderkey"))
-          .join(cust, orders("o_custkey") === cust("c_custkey"))
+        l.join(o, l("l_orderkey") === o("o_orderkey"))
+          .join(cust, o("o_custkey") === cust("c_custkey"))
           .groupBy("l_orderkey", "o_orderdate", "o_shippriority")
           .agg(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))).as("revenue"))
           .select("l_orderkey", "revenue", "o_orderdate", "o_shippriority")
-          .orderBy(desc("revenue"), asc("l_orderkey")).limit(10))
+          .orderBy(desc("revenue"), asc("l_orderkey")).limit(10)).df
     }
     finish(df, Seq(Seq("cust"), Seq("orders"), Seq("lineitem"), Seq("local")), scale,
       Map("bloom1" -> bloom1.map(_.m.toString).getOrElse("degraded"),
@@ -262,7 +267,7 @@ object Tpch {
                  col("l_shipdate") < lit("1995-01-01").cast("date") &&
                  col("l_discount") >= 0.05 && col("l_discount") <= 0.07 &&
                  col("l_quantity") < 24)
-          .agg(sum(col("l_extendedprice") * col("l_discount")).as("revenue")))
+          .agg(sum(col("l_extendedprice") * col("l_discount")).as("revenue"))).df
     }
     finish(df, Seq(Seq("agg")), scale)
   }
@@ -278,8 +283,8 @@ object Tpch {
                col("l_shipdate") < lit("1995-10-01").cast("date"))
         .select("l_partkey", "l_extendedprice", "l_discount"))
     }
-    val partKeys = lines.select("l_partkey").distinct().collect().map(_.getLong(0))
-    Sim.phase("lineitem").localWork(lines.count(), Model.RowLight)
+    val partKeys = lines.df.select("l_partkey").distinct().collect().map(_.getLong(0))
+    Sim.phase("lineitem").localWork(lines.rows, Model.RowLight)
     val bloom = BloomFilter.buildWithinLimit(partKeys, 0.01, "p_partkey").map(_._1)
 
     val parts = Sim.inPhase("part") {
@@ -288,13 +293,14 @@ object Tpch {
         .select("p_partkey", "p_type"))
     }
     val df = Sim.inPhase("local") {
-      Sim.currentPhase.localWork(lines.count() + parts.count(), Model.RowHash)
+      Sim.currentPhase.localWork(lines.rows + parts.rows, Model.RowHash)
+      val (l, p) = (lines.df, parts.df)
       val disc = col("l_extendedprice") * (lit(1) - col("l_discount"))
       force(
-        lines.join(parts, lines("l_partkey") === parts("p_partkey"))
+        l.join(p, l("l_partkey") === p("p_partkey"))
           .agg((lit(100.0) *
             sum(when(col("p_type").startsWith("PROMO"), disc).otherwise(0.0)) / sum(disc))
-            .as("promo_revenue")))
+            .as("promo_revenue"))).df
     }
     finish(df, Seq(Seq("lineitem"), Seq("part"), Seq("local")), scale,
       Map("bloom" -> bloom.map(_.m.toString).getOrElse("degraded")))
@@ -322,17 +328,18 @@ object Tpch {
         .select("l_partkey", "l_quantity", "l_extendedprice"))
     }
     val df = Sim.inPhase("local") {
-      Sim.currentPhase.localWork(lines.count() + partKeys.length, Model.RowHash)
+      Sim.currentPhase.localWork(lines.rows + partKeys.length, Model.RowHash)
+      val l = lines.df
       val parts = TableCatalog.toDataFrame(spark,
         partKeys.map(k => Array(k.toString)),
         StructType(Seq(StructField("p_partkey", LongType))))
-      val avgQ = lines.groupBy(col("l_partkey").as("a_partkey"))
+      val avgQ = l.groupBy(col("l_partkey").as("a_partkey"))
         .agg((avg("l_quantity") * 0.2).as("qty_limit"))
       force(
-        lines.join(parts, lines("l_partkey") === parts("p_partkey"))
-          .join(avgQ, lines("l_partkey") === avgQ("a_partkey"))
+        l.join(parts, l("l_partkey") === parts("p_partkey"))
+          .join(avgQ, l("l_partkey") === avgQ("a_partkey"))
           .where(col("l_quantity") < col("qty_limit"))
-          .agg((sum("l_extendedprice") / 7.0).as("avg_yearly")))
+          .agg((sum("l_extendedprice") / 7.0).as("avg_yearly"))).df
     }
     finish(df, Seq(Seq("part"), Seq("lineitem"), Seq("local")), scale,
       Map("bloom" -> bloom.map(_.m.toString).getOrElse("degraded")))
@@ -357,7 +364,7 @@ object Tpch {
       force(read(spark, "part", pushdown = true).where(partPred)
         .select("p_partkey", "p_brand", "p_container", "p_size"))
     }
-    val partKeys = parts.select("p_partkey").collect().map(_.getLong(0))
+    val partKeys = parts.df.select("p_partkey").collect().map(_.getLong(0))
     Sim.phase("part").localWork(partKeys.length.toLong, Model.RowLight)
     val bloom = BloomFilter.buildWithinLimit(partKeys, 0.01, "l_partkey").map(_._1)
 
@@ -370,7 +377,8 @@ object Tpch {
         .select("l_partkey", "l_quantity", "l_extendedprice", "l_discount"))
     }
     val df = Sim.inPhase("local") {
-      Sim.currentPhase.localWork(lines.count() + parts.count(), Model.RowHash)
+      Sim.currentPhase.localWork(lines.rows + parts.rows, Model.RowHash)
+      val (l, p) = (lines.df, parts.df)
       val pairPred =
         (col("p_brand") === "Brand#12" && col("p_container").isin("SM BOX", "SM PKG") &&
           col("l_quantity") >= 1 && col("l_quantity") <= 11 && col("p_size") <= 5) ||
@@ -379,9 +387,9 @@ object Tpch {
         (col("p_brand") === "Brand#34" && col("p_container").isin("LG BOX", "LG PKG") &&
           col("l_quantity") >= 20 && col("l_quantity") <= 30 && col("p_size") <= 15)
       force(
-        lines.join(parts, lines("l_partkey") === parts("p_partkey"))
+        l.join(p, l("l_partkey") === p("p_partkey"))
           .where(pairPred)
-          .agg(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))).as("revenue")))
+          .agg(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))).as("revenue"))).df
     }
     finish(df, Seq(Seq("part"), Seq("lineitem"), Seq("local")), scale,
       Map("bloom" -> bloom.map(_.m.toString).getOrElse("degraded")))

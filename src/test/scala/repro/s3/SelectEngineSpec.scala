@@ -73,6 +73,18 @@ class SelectEngineSpec extends AnyFunSuite {
     assert(run("SELECT id FROM S3Object WHERE id NOT IN (1, 2, 3)").rows.map(_(0)).toSet == Set("4", "5"))
   }
 
+  test("AND, OR and NOT follow three-valued logic on NULL operands") {
+    def ids(where: String) = run(s"SELECT id FROM S3Object WHERE $where").rows.map(_(0)).toSet
+    // row 5 has a NULL price: the OR is NULL there, and so is its negation
+    assert(ids("NOT (id < 120.0 * price OR id IN (0, 253, 0))") == Set.empty[String])
+    assert(ids("NOT (price > 15 OR id = 1)") == Set.empty[String])
+    assert(ids("NOT (price > 15 AND id > 0)") == Set("1"))
+    // FALSE decides AND, TRUE decides OR, whatever the NULL side
+    assert(ids("price > 15 OR id = 5") == Set("2", "3", "4", "5"))
+    assert(ids("NOT (price > 15 AND id = 4)") == Set("1", "2", "3", "5"))
+    assert(ids("(price > 15 AND id = 5) IS NULL") == Set("5"))
+  }
+
   test("empty numeric cell is NULL: filtered by comparisons, caught by IS NULL") {
     assert(run("SELECT id FROM S3Object WHERE price > 0").rows.size == 4)
     assert(run("SELECT id FROM S3Object WHERE price IS NULL").rows.map(_(0)) == Vector("5"))

@@ -141,6 +141,22 @@ class TpchSpec extends SparkSpec {
       s"opt ${opt.bytesReturned} vs base ${base.bytesReturned}")
   }
 
+  test("Q1 with more shards than rows: empty objects add nothing to the sums") {
+    try {
+      // 5 rows in 8 shards: 3 objects are empty and return NULL sums
+      TableCatalog.register(SynthData.lineitem(spark, 0.01).limit(5), "lineitem", numShards = 8)
+      val norm = (df: DataFrame) => df.select(
+        col("l_returnflag"), col("l_linestatus"), round(col("sum_qty"), 2).as("sum_qty"),
+        round(col("sum_charge"), 2).as("sum_charge"), col("count_order"))
+        .orderBy("l_returnflag", "l_linestatus").collect().toSeq
+      val opt = Tpch.optimized(spark, "Q1", 100)
+      assert(opt.phases.find(_.name == "caseagg").get.selectRequests == 8)
+      val rows = norm(opt.df)
+      assert(rows.nonEmpty && rows.map(_.getLong(4)).sum <= 5)
+      assert(rows == norm(Tpch.baseline(spark, Tpch.q1, 100).df))
+    } finally TableCatalog.resetTpch() // the next ensure() re-registers the shared tables
+  }
+
   test("optimized Q1 returns only per-object partial aggregates in phase 2") {
     ensure()
     val opt = Tpch.optimized(spark, "Q1", 100)
