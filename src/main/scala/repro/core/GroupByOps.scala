@@ -55,7 +55,7 @@ object GroupByOps {
       Sim.currentPhase.localWork(vs.size.toLong, Model.RowLight) // vectorized unique()
       vs.map(_(0)).distinct.sortBy(_.toLong)
     }
-    val sums = Sim.inPhase("caseagg") { caseAggregate(client, table, gCol, aggCols, values, None) }
+    val sums = Sim.inPhase("caseagg") { caseAggregate(client, table, gCol, aggCols, values) }
     val df = force(resultDf(spark, client, table, gCol, aggCols, sums)).df
     finish(df, Seq(Seq("distinct"), Seq("caseagg")), scale,
       Map("groups" -> values.size.toString))
@@ -82,7 +82,7 @@ object GroupByOps {
     // Q1: S3-side aggregation of the populous groups.
     val bigSums =
       if (big.isEmpty) Map.empty[String, Seq[Double]]
-      else Sim.inPhase("bigagg") { caseAggregate(client, table, gCol, aggCols, big, None) }
+      else Sim.inPhase("bigagg") { caseAggregate(client, table, gCol, aggCols, big) }
 
     // Q2: load the tail groups' rows, aggregate in Spark.
     val smallDf = Sim.inPhase("small") {
@@ -112,13 +112,10 @@ object GroupByOps {
     * merge per-object partial sums at the server. Returns group → sums.
     */
   private def caseAggregate(client: S3Client, table: String, gCol: String,
-                            aggCols: Seq[String], groups: Seq[String],
-                            extraWhere: Option[String]): Map[String, Seq[Double]] = {
+                            aggCols: Seq[String], groups: Seq[String]): Map[String, Seq[Double]] = {
     val projs = for (v <- groups; a <- aggCols)
       yield s"sum(CASE WHEN $gCol = $v THEN $a ELSE 0 END)"
-    val sql = s"SELECT ${projs.mkString(", ")} FROM S3Object" +
-      extraWhere.map(w => s" WHERE $w").getOrElse("")
-    val partials = client.select(table, sql) // one row per object
+    val partials = client.select(table, s"SELECT ${projs.mkString(", ")} FROM S3Object") // one row per object
     val totals = Array.fill(groups.size * aggCols.size)(0.0)
     partials.foreach { row =>
       var i = 0

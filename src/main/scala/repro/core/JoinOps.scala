@@ -18,6 +18,12 @@ object JoinOps {
 
   final case class Params(upperAcct: Double, upperDate: Option[String], fpr: Double = 0.01)
 
+  /** The probe side of a Bloom join: the S3 Select predicate to AND into
+    * the probe scan, or None when it is degraded to a filtered join, and the
+    * `info` entries that record the decision.
+    */
+  final case class BloomProbe(extraWhere: Option[String], info: Map[String, String])
+
   private def customerSide(spark: SparkSession, p: Params, pushdown: Boolean): DataFrame = {
     val df = read(spark, "customer", pushdown).where(col("c_acctbal") <= p.upperAcct)
     if (pushdown) df.select("c_custkey") else df
@@ -73,32 +79,31 @@ object JoinOps {
     val cust = Sim.inPhase("build") { force(customerSide(spark, p, pushdown = true)) }
     val keys = cust.df.select("c_custkey").collect().map(_.getLong(0))
     Sim.phase("build").localWork(keys.length.toLong, Model.RowLight) // filter construction
+    val probe = bloomProbe(keys, p.fpr, "o_custkey")
 
-    BloomFilter.buildWithinLimit(keys, p.fpr, "o_custkey") match {
+    val ords = Sim.inPhase("probe") {
+      force(ordersSide(spark, p, pushdown = true, extraWhere = probe.extraWhere))
+    }
+    val df = Sim.inPhase("join") {
+      Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
+      force(joinAndSum(cust.df, ords.df)).df
+    }
+    finish(df, Seq(Seq("build"), Seq("probe"), Seq("join")), scale, probe.info)
+  }
+
+  /** Build the Bloom filter over `keys` on probe attribute `attr` at target
+    * FPR `fpr`, raising the FPR until its predicate fits in 256 KB (§V-B1).
+    * Info: `fpr` (the FPR used), `bloomBits` and `bloomHashes`; or only
+    * `fpr -> "degraded"` when no FPR below 1 fits.
+    */
+  def bloomProbe(keys: Iterable[Long], fpr: Double, attr: String): BloomProbe =
+    BloomFilter.buildWithinLimit(keys, fpr, attr) match {
       case Some((filter, usedFpr)) =>
-        val ords = Sim.inPhase("probe") {
-          force(ordersSide(spark, p, pushdown = true,
-            extraWhere = Some(filter.toSqlPredicate("o_custkey"))))
-        }
-        val df = Sim.inPhase("join") {
-          Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
-          force(joinAndSum(cust.df, ords.df)).df
-        }
-        finish(df, Seq(Seq("build"), Seq("probe"), Seq("join")), scale,
+        BloomProbe(Some(filter.toSqlPredicate(attr)),
           Map("fpr" -> usedFpr.toString, "bloomBits" -> filter.m.toString,
               "bloomHashes" -> filter.k.toString))
-      case None =>
-        // Degraded: filtered join, but the probe load starts only after the
-        // build side finished (serial).
-        val ords = Sim.inPhase("probe") { force(ordersSide(spark, p, pushdown = true)) }
-        val df = Sim.inPhase("join") {
-          Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
-          force(joinAndSum(cust.df, ords.df)).df
-        }
-        finish(df, Seq(Seq("build"), Seq("probe"), Seq("join")), scale,
-          Map("fpr" -> "degraded"))
+      case None => BloomProbe(None, Map("fpr" -> "degraded"))
     }
-  }
 
   /** The query as SQL for Spark views (baseline semantics). */
   def sparkSql(p: Params): String = {

@@ -1,9 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.catalyst.CatalystTypeConverters
 import org.apache.spark.sql.types._
 import repro.SynthData
 import repro.s3._
+import repro.s3.datasource.RowCodecs
 
 /** Materializes DataFrames into the simulated object store as partitioned
   * CSV (and optionally Parquet-lite) objects, and builds the §IV-A index
@@ -124,16 +126,7 @@ object TableCatalog {
     spark.createDataFrame(spark.sparkContext.parallelize(sparkRows.toSeq, 4), schema)
   }
 
+  /** A stored cell as the external value a Spark `Row` holds. */
   def parseCell(cell: String, t: DataType): Any =
-    if (cell == null || cell.isEmpty) if (t == StringType) "" else null
-    else t match {
-      case LongType    => if (cell.contains('.')) cell.toDouble.toLong else cell.toLong
-      case IntegerType => if (cell.contains('.')) cell.toDouble.toInt else cell.toInt
-      case DoubleType  => cell.toDouble
-      case FloatType   => cell.toFloat
-      case StringType  => cell
-      case DateType    => java.sql.Date.valueOf(cell)
-      case BooleanType => cell.toBoolean
-      case other       => throw new IllegalArgumentException(s"unsupported type $other")
-    }
+    CatalystTypeConverters.convertToScala(RowCodecs.toCatalyst(cell, t), t)
 }

@@ -40,9 +40,11 @@ object CsvCodec {
   }
 
   def decode(bytes: Array[Byte]): Array[Array[String]] = {
-    val s = new String(bytes, java.nio.charset.StandardCharsets.UTF_8)
-    if (s.isEmpty) Array.empty
-    else s.split("\n", -1).iterator.filter(_.nonEmpty).map(decodeLine).toArray
+    val lines = new String(bytes, java.nio.charset.StandardCharsets.UTF_8).split("\n", -1)
+    // every row ends with a newline: only the text after the last one is not
+    // a row (an empty line is a row whose only cell is empty)
+    val n = if (lines.last.isEmpty) lines.length - 1 else lines.length
+    lines.iterator.take(n).map(decodeLine).toArray
   }
 
   /** Encode a single output row the way S3 Select returns results (CSV). */

@@ -32,48 +32,50 @@ final class S3Client(store: S3Store = S3Store.global, bucket: String = S3Client.
     * only the objects it reached are charged.
     */
   def selectParsed(tableName: String, q: SelectQuery): Vector[Array[String]] = {
-    val objects = objectKeys(tableName).map(store.get(bucket, _))
-    val out = Vector.newBuilder[Array[String]]
-    def record(res: SelectEngine.Result): Unit = {
-      Sim.currentPhase.recordSelect(res.scannedBytes, res.returnedBytes, res.exprFactor)
-      Sim.currentPhase.localParse(res.returnedBytes) // server parses the CSV response
-      out ++= res.rows
-    }
+    val keys = objectKeys(tableName)
     q.limit match {
       case None =>
-        val requests = objects.map { obj =>
+        val requests = keys.map { k =>
+          val obj = store.get(bucket, k)
           S3Client.requestPool.submit(new Callable[SelectEngine.Result] {
             def call(): SelectEngine.Result = SelectEngine.run(obj, q)
           })
         }
-        requests.foreach { r =>
+        requests.toVector.flatMap { r =>
           // a failed request fails the select with its own exception
-          record(try r.get() catch { case e: ExecutionException => throw e.getCause })
+          recordSelect(try r.get() catch { case e: ExecutionException => throw e.getCause })
         }
       case Some(limit) =>
+        val out = Vector.newBuilder[Array[String]]
         var produced = 0L
-        val it = objects.iterator
+        val it = keys.iterator
         while (it.hasNext && produced < limit) {
-          val res = SelectEngine.run(it.next(), q.copy(limit = Some(limit - produced)))
-          record(res)
-          produced += res.rows.size
+          val rows = selectObject(it.next(), q.copy(limit = Some(limit - produced)))
+          out ++= rows
+          produced += rows.size
         }
+        out.result()
     }
-    out.result()
   }
 
-  /** Load a whole table (all shard objects) with plain GETs — the baseline
-    * path that does not use S3 Select (no scan charge, full transfer).
+  /** One S3 Select request against the object `key`. */
+  def selectObject(key: String, q: SelectQuery): Vector[Array[String]] =
+    recordSelect(SelectEngine.run(store.get(bucket, key), q))
+
+  /** Whole-object GET of `key`: the baseline path that does not use S3
+    * Select (no scan charge, full transfer, parsed at the server).
     */
-  def getTable(tableName: String): Vector[Array[String]] = {
-    val out = Vector.newBuilder[Array[String]]
-    objectKeys(tableName).foreach { k =>
-      val obj = store.get(bucket, k)
-      Sim.currentPhase.recordGet(obj.sizeBytes)
-      Sim.currentPhase.localParse(obj.sizeBytes)
-      out ++= obj.rows
-    }
-    out.result()
+  def getObject(key: String): Array[Array[String]] = {
+    val obj = store.get(bucket, key)
+    Sim.currentPhase.recordGet(obj.sizeBytes)
+    Sim.currentPhase.localParse(obj.sizeBytes)
+    obj.rows
+  }
+
+  private def recordSelect(res: SelectEngine.Result): Vector[Array[String]] = {
+    Sim.currentPhase.recordSelect(res.scannedBytes, res.returnedBytes, res.exprFactor)
+    Sim.currentPhase.localParse(res.returnedBytes) // server parses the CSV response
+    res.rows
   }
 
   /** HTTP byte-range GET of one record (§IV-A phase 2). */

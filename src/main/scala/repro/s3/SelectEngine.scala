@@ -365,10 +365,7 @@ object SelectEngine {
     /** Format a value the way the CSV response serializes it. */
     def format(v: SValue): String = v match {
       case SLong(x)   => x.toString
-      case SDouble(x) => if (x == math.rint(x) && math.abs(x) < 1e15) {
-        // keep integral doubles readable but unambiguous
-        x.toString
-      } else x.toString
+      case SDouble(x) => x.toString
       case SString(s) => s
       case SBool(b)   => b.toString
       case SNull      => ""

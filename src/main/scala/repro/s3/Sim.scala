@@ -7,9 +7,9 @@ import scala.collection.mutable
   *
   * A *phase* is one logical storage round of an operator: "build-side load",
   * "probe scan", "index lookup", "range GETs", … Operators wrap work in
-  * [[Sim.inPhase]]; the S3 client and the DataSource readers attribute their
-  * bytes/requests to the current phase (single-JVM local mode, benches run
-  * serially, so a thread-shared current phase is sufficient).
+  * [[Sim.inPhase]]; [[S3Client]], which the DataSource readers call too,
+  * attributes bytes/requests to the current phase (single-JVM local mode,
+  * benches run serially, so a thread-shared current phase is sufficient).
   */
 final class PhaseAcc(val name: String) {
   val scannedBytes   = new AtomicLong

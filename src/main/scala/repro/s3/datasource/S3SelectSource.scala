@@ -179,18 +179,10 @@ final class S3SelectPartitionReader(opts: S3SelectOptions, outSchema: StructType
     extends PartitionReader[InternalRow] {
 
   private lazy val rows: Iterator[Array[String]] = {
-    val obj   = S3Store.global.get(opts.bucket, key)
-    val phase = Sim.currentPhase
+    val client = new S3Client(S3Store.global, opts.bucket)
     query match {
-      case Some(q) =>
-        val res = SelectEngine.run(obj, q)
-        phase.recordSelect(res.scannedBytes, res.returnedBytes, res.exprFactor)
-        phase.localParse(res.returnedBytes) // server parses the CSV response
-        res.rows.iterator
-      case None =>
-        phase.recordGet(obj.sizeBytes) // baseline: whole-object GET
-        phase.localParse(obj.sizeBytes)
-        obj.rows.iterator
+      case Some(q) => client.selectObject(key, q).iterator
+      case None    => client.getObject(key).iterator // baseline: whole-object GET
     }
   }
 
@@ -261,13 +253,19 @@ object FilterTranslator {
     case sources.And(l, r)    => for (a <- translate(l); b <- translate(r)) yield And(a, b)
     case sources.Or(l, r)     => for (a <- translate(l); b <- translate(r)) yield Or(a, b)
     case sources.Not(x)       => translate(x).map(Not.apply)
-    case sources.StringStartsWith(a, p) => Some(Like(col(a), escapeLike(p) + "%", negated = false))
-    case sources.StringEndsWith(a, p)   => Some(Like(col(a), "%" + escapeLike(p), negated = false))
-    case sources.StringContains(a, p)   => Some(Like(col(a), "%" + escapeLike(p) + "%", negated = false))
+    case sources.StringStartsWith(a, p) => like(a, p, p + "%")
+    case sources.StringEndsWith(a, p)   => like(a, p, "%" + p)
+    case sources.StringContains(a, p)   => like(a, p, "%" + p + "%")
     case _ => None
   }
 
-  private def escapeLike(s: String): String = s // our data has no % or _ characters
+  /** LIKE `pattern` for the literal text `p`. The parser has no `ESCAPE`,
+    * so a `p` holding `%` or `_` cannot be matched literally and stays a
+    * residual: Spark does not re-apply pushed filters.
+    */
+  private def like(a: String, p: String, pattern: String): Option[Expr] =
+    if (p.exists(c => c == '%' || c == '_')) None
+    else Some(Like(col(a), pattern, negated = false))
 
   private def col(name: String): Expr = Col(name.toLowerCase)
 

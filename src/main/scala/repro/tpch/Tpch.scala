@@ -217,21 +217,19 @@ object Tpch {
       Sim.currentPhase.localWork(ks.size.toLong, Model.RowLight)
       ks
     }
-    val bloom1 = BloomFilter.buildWithinLimit(custKeys, 0.01, "o_custkey").map(_._1)
+    val bloom1 = JoinOps.bloomProbe(custKeys, 0.01, "o_custkey")
 
     val orders = Sim.inPhase("orders") {
-      force(read(spark, "orders", pushdown = true,
-          extraWhere = bloom1.map(_.toSqlPredicate("o_custkey")))
+      force(read(spark, "orders", pushdown = true, extraWhere = bloom1.extraWhere)
         .where(col("o_orderdate") < lit(Q3Date).cast("date"))
         .select("o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"))
     }
     val orderKeys = orders.df.select("o_orderkey").collect().map(_.getLong(0))
     Sim.phase("orders").localWork(orderKeys.length.toLong, Model.RowLight)
-    val bloom2 = BloomFilter.buildWithinLimit(orderKeys, 0.01, "l_orderkey").map(_._1)
+    val bloom2 = JoinOps.bloomProbe(orderKeys, 0.01, "l_orderkey")
 
     val lines = Sim.inPhase("lineitem") {
-      force(read(spark, "lineitem", pushdown = true,
-          extraWhere = bloom2.map(_.toSqlPredicate("l_orderkey")))
+      force(read(spark, "lineitem", pushdown = true, extraWhere = bloom2.extraWhere)
         .where(col("l_shipdate") > lit(Q3Date).cast("date"))
         .select("l_orderkey", "l_extendedprice", "l_discount"))
     }
@@ -251,8 +249,8 @@ object Tpch {
           .orderBy(desc("revenue"), asc("l_orderkey")).limit(10)).df
     }
     finish(df, Seq(Seq("cust"), Seq("orders"), Seq("lineitem"), Seq("local")), scale,
-      Map("bloom1" -> bloom1.map(_.m.toString).getOrElse("degraded"),
-          "bloom2" -> bloom2.map(_.m.toString).getOrElse("degraded")))
+      bloom1.info.map { case (k, v) => s"orders.$k" -> v } ++
+        bloom2.info.map { case (k, v) => s"lineitem.$k" -> v })
   }
 
   /** Q6 optimized: filters *and* the whole aggregation pushed through the
@@ -285,11 +283,10 @@ object Tpch {
     }
     val partKeys = lines.df.select("l_partkey").distinct().collect().map(_.getLong(0))
     Sim.phase("lineitem").localWork(lines.rows, Model.RowLight)
-    val bloom = BloomFilter.buildWithinLimit(partKeys, 0.01, "p_partkey").map(_._1)
+    val bloom = JoinOps.bloomProbe(partKeys, 0.01, "p_partkey")
 
     val parts = Sim.inPhase("part") {
-      force(read(spark, "part", pushdown = true,
-          extraWhere = bloom.map(_.toSqlPredicate("p_partkey")))
+      force(read(spark, "part", pushdown = true, extraWhere = bloom.extraWhere)
         .select("p_partkey", "p_type"))
     }
     val df = Sim.inPhase("local") {
@@ -302,8 +299,7 @@ object Tpch {
             sum(when(col("p_type").startsWith("PROMO"), disc).otherwise(0.0)) / sum(disc))
             .as("promo_revenue"))).df
     }
-    finish(df, Seq(Seq("lineitem"), Seq("part"), Seq("local")), scale,
-      Map("bloom" -> bloom.map(_.m.toString).getOrElse("degraded")))
+    finish(df, Seq(Seq("lineitem"), Seq("part"), Seq("local")), scale, bloom.info)
   }
 
   /** Q17 optimized: highly selective part filter pushed; surviving part keys
@@ -320,11 +316,10 @@ object Tpch {
       Sim.currentPhase.localWork(ks.size.toLong, Model.RowLight)
       ks
     }
-    val bloom = BloomFilter.buildWithinLimit(partKeys, 0.01, "l_partkey").map(_._1)
+    val bloom = JoinOps.bloomProbe(partKeys, 0.01, "l_partkey")
 
     val lines = Sim.inPhase("lineitem") {
-      force(read(spark, "lineitem", pushdown = true,
-          extraWhere = bloom.map(_.toSqlPredicate("l_partkey")))
+      force(read(spark, "lineitem", pushdown = true, extraWhere = bloom.extraWhere)
         .select("l_partkey", "l_quantity", "l_extendedprice"))
     }
     val df = Sim.inPhase("local") {
@@ -341,8 +336,7 @@ object Tpch {
           .where(col("l_quantity") < col("qty_limit"))
           .agg((sum("l_extendedprice") / 7.0).as("avg_yearly"))).df
     }
-    finish(df, Seq(Seq("part"), Seq("lineitem"), Seq("local")), scale,
-      Map("bloom" -> bloom.map(_.m.toString).getOrElse("degraded")))
+    finish(df, Seq(Seq("part"), Seq("lineitem"), Seq("local")), scale, bloom.info)
   }
 
   /** Q19 optimized: the OR-of-ANDs part predicate and the lineitem
@@ -366,11 +360,10 @@ object Tpch {
     }
     val partKeys = parts.df.select("p_partkey").collect().map(_.getLong(0))
     Sim.phase("part").localWork(partKeys.length.toLong, Model.RowLight)
-    val bloom = BloomFilter.buildWithinLimit(partKeys, 0.01, "l_partkey").map(_._1)
+    val bloom = JoinOps.bloomProbe(partKeys, 0.01, "l_partkey")
 
     val lines = Sim.inPhase("lineitem") {
-      force(read(spark, "lineitem", pushdown = true,
-          extraWhere = bloom.map(_.toSqlPredicate("l_partkey")))
+      force(read(spark, "lineitem", pushdown = true, extraWhere = bloom.extraWhere)
         .where(col("l_shipinstruct") === "DELIVER IN PERSON" &&
                col("l_shipmode").isin("AIR", "REG AIR") &&
                col("l_quantity") >= 1 && col("l_quantity") <= 30)
@@ -391,7 +384,6 @@ object Tpch {
           .where(pairPred)
           .agg(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))).as("revenue"))).df
     }
-    finish(df, Seq(Seq("part"), Seq("lineitem"), Seq("local")), scale,
-      Map("bloom" -> bloom.map(_.m.toString).getOrElse("degraded")))
+    finish(df, Seq(Seq("part"), Seq("lineitem"), Seq("local")), scale, bloom.info)
   }
 }

@@ -92,6 +92,21 @@ class BloomFilterSpec extends AnyFunSuite {
     assert(keys.forall(f.mightContain)) // still no false negatives
   }
 
+  test("bloomProbe degrades to no predicate when no FPR below 1 fits") {
+    val probe = JoinOps.bloomProbe((1L to 200000L).toSeq, 0.01, "k")
+    assert(probe.extraWhere.isEmpty)
+    assert(probe.info == Map("fpr" -> "degraded"))
+  }
+
+  test("bloomProbe ships the filter's predicate and records its FPR and size") {
+    val keys = (1L to 100L).toSeq
+    val probe = JoinOps.bloomProbe(keys, 0.01, "k")
+    val Some((f, _)) = BloomFilter.buildWithinLimit(keys, 0.01, "k")
+    assert(probe.extraWhere.contains(f.toSqlPredicate("k")))
+    assert(probe.info == Map("fpr" -> "0.01", "bloomBits" -> f.m.toString,
+      "bloomHashes" -> f.k.toString))
+  }
+
   test("buildWithinLimit keeps the requested FPR when it fits") {
     val keys = (1L to 100L).toSeq
     val Some((_, usedFpr)) = BloomFilter.buildWithinLimit(keys, 0.01, "k")

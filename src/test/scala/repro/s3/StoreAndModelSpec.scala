@@ -50,6 +50,12 @@ class CsvCodecSpec extends AnyFunSuite {
     val enc = CsvCodec.encode(Seq(Array("1", "")))
     assert(CsvCodec.decode(enc.bytes).head.length == 2)
   }
+
+  test("a one-column row with an empty cell survives decode") {
+    val rows = Seq(Array("a"), Array(""), Array("b"))
+    val enc = CsvCodec.encode(rows)
+    assert(CsvCodec.decode(enc.bytes).map(_.toSeq).toSeq == rows.map(_.toSeq))
+  }
 }
 
 class S3StoreSpec extends AnyFunSuite {
@@ -61,6 +67,19 @@ class S3StoreSpec extends AnyFunSuite {
     val keys = S3Store.putCsvTable(store, "b", "t", schema, rows(10), 4)
     assert(keys.size == 4)
     assert(keys.map(store.get("b", _).numRows).sum == 10)
+  }
+
+  test("a one-column table with NULL cells decodes to numRows rows") {
+    val store = new S3Store
+    val oneCol = StructType(Seq(StructField("v", StringType)))
+    val keys = S3Store.putCsvTable(store, "b", "t", oneCol,
+      Array.tabulate(10)(i => Array(if (i % 3 == 0) null else s"v$i")), 2)
+    keys.foreach { k =>
+      val obj = store.get("b", k)
+      assert(obj.rows.length == obj.numRows)
+      assert(SelectEngine.run(obj, SelectParser.parse("SELECT count(*) FROM S3Object"))
+        .rows.head.head.toInt == obj.numRows)
+    }
   }
 
   test("list returns sorted shard keys by prefix") {

@@ -1,6 +1,9 @@
 package repro.s3.datasource
 
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.execution.datasources.v2.BatchScanExec
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{Plans, TableCatalog}
 import repro.s3._
@@ -180,6 +183,51 @@ class S3SelectSourceSpec extends SparkSpec {
       Plans.read(spark, "customer").groupBy("c_nationkey")
         .agg(round(sum("c_acctbal"), 2).as("s")),
       duck, "customer" -> SynthData.customer(spark, 0.01))
+  }
+
+  test("string filters on text holding a LIKE wildcard match it literally") {
+    S3Store.putCsvTable(S3Store.global, S3Client.DefaultBucket, "like_test",
+      StructType(Seq(StructField("s", StringType))), Array(Array("500"), Array("50%"), Array("a_b")), 1)
+    def matching(c: Column): Seq[String] =
+      Plans.read(spark, "like_test").where(c).collect().map(_.getString(0)).toSeq
+    assert(matching(col("s").startsWith("50%")) == Seq("50%"))
+    assert(matching(col("s").endsWith("%")) == Seq("50%"))
+    assert(matching(col("s").contains("_")) == Seq("a_b"))
+  }
+
+  /** A 4-object table in the shared store for the metering tests. */
+  private lazy val meterKeys = S3Store.putCsvTable(S3Store.global, S3Client.DefaultBucket, "meter_test",
+    StructType(Seq(StructField("id", LongType), StructField("price", DoubleType),
+      StructField("name", StringType))),
+    Array.tabulate(400)(i => Array(i.toString, f"${i % 37 * 1.5}%.2f", s"n${i % 7}")), 4)
+
+  /** The metrics of `body`, run in a fresh phase. */
+  private def metered(body: => Any): PhaseView = {
+    Sim.reset()
+    Sim.inPhase("p") { body }
+    Sim.get("p")
+  }
+
+  test("a pushed read meters what S3Client.select of its SQL meters") {
+    meterKeys
+    val df = Plans.read(spark, "meter_test",
+        extraWhere = Some("SUBSTRING('0110100110', (id % 10) + 1, 1) = '1'"))
+      .where(col("price") > 20).select("id", "name")
+    val sql = df.queryExecution.sparkPlan
+      .collectFirst { case s: BatchScanExec => s.scan.description() }.get.stripPrefix("s3select ")
+    val read = metered { Plans.force(df) }
+    assert(read == metered { new S3Client().select("meter_test", sql) }, sql)
+    assert(read.selectRequests == meterKeys.size && read.exprFactor > 1.0, read)
+  }
+
+  test("a pushdown=off read meters what per-object GETs meter") {
+    meterKeys
+    val read = metered {
+      Plans.force(Plans.read(spark, "meter_test", pushdown = false).where(col("price") > 20))
+    }
+    val client = new S3Client()
+    assert(read == metered { meterKeys.foreach(client.getObject) })
+    assert(read.getRequests == meterKeys.size && read.selectRequests == 0, read)
   }
 
   test("avg is not pushed but still computed correctly") {

@@ -46,6 +46,12 @@ class FilterTranslatorSpec extends AnyFunSuite {
     assert(translate(sources.StringContains("a", "mid")) == Some(Like(Col("a"), "%mid%", negated = false)))
   }
 
+  test("string matching on text holding a LIKE wildcard stays a residual") {
+    assert(translate(sources.StringStartsWith("a", "50%")).isEmpty)
+    assert(translate(sources.StringEndsWith("a", "x_y")).isEmpty)
+    assert(translate(sources.StringContains("a", "%")).isEmpty)
+  }
+
   test("untranslatable leaves poison the whole conjunct") {
     val weird = sources.EqualNullSafe("a", 1)
     assert(translate(weird).isEmpty)

@@ -141,6 +141,16 @@ class TpchSpec extends SparkSpec {
       s"opt ${opt.bytesReturned} vs base ${base.bytesReturned}")
   }
 
+  test("optimized Q3 and Q14 record the FPR of each Bloom filter") {
+    ensure()
+    val q3 = Tpch.optimized(spark, "Q3", 100).info
+    assert(q3("orders.fpr") == "0.01" && q3("lineitem.fpr") == "0.01", q3)
+    assert(q3.keySet == Set("orders", "lineitem")
+      .flatMap(p => Seq("fpr", "bloomBits", "bloomHashes").map(k => s"$p.$k")))
+    val q14 = Tpch.optimized(spark, "Q14", 100).info
+    assert(q14("fpr") == "0.01" && q14.contains("bloomBits"), q14)
+  }
+
   test("Q1 with more shards than rows: empty objects add nothing to the sums") {
     try {
       // 5 rows in 8 shards: 3 objects are empty and return NULL sums

@@ -11,11 +11,16 @@ workload, pair i runs `perfbench/run.py` once on each side with seed
 `seeds[i % len(seeds)]`; the side that runs first alternates from pair to
 pair, so a slow drift of the host does not favour one side. The report gives,
 per workload and metric, each side's median and quartiles, how many pairs the
-working tree won, and every failed operation or run.
+working tree won, and every failed operation or run. After the table, each
+end-to-end metric of BENCHMARK.json gets a verdict against its bound:
+`worse` if the working tree's median is worse than the base's by more than
+the bound, else `unresolved` if the base's interquartile range is wider than
+the bound (relative to its median), else `ok`.
 """
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -48,12 +53,15 @@ def run_once(checkout, workload, seed, seconds, trace):
     return json.loads(lines[-1])
 
 
-def directions():
-    """metric name -> True if higher is better, from BENCHMARK.json."""
+def load_spec():
+    """(metric name -> True if higher is better, end-to-end metric name ->
+    bound), from BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    return {m["name"]: m["better"] == "higher"
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    higher = {m["name"]: m["better"] == "higher"
+              for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    bounds = {m["name"]: m["bound"] for m in spec.get("end_to_end", [])}
+    return higher, bounds
 
 
 def quartiles(xs):
@@ -63,8 +71,27 @@ def quartiles(xs):
     return q1, q2, q3
 
 
-def report(workload, pairs, higher):
-    """Print one workload's table. `pairs` is a list of (seed, base, work)."""
+def relative(x, ref):
+    """(x - ref) / |ref|; 0 when both are 0, infinite when only ref is."""
+    if ref:
+        return (x - ref) / abs(ref)
+    return 0.0 if x == ref else math.copysign(math.inf, x - ref)
+
+
+def verdict(b, w, up, bound):
+    """`ok`, `worse` or `unresolved` for one metric's base and work runs."""
+    bq, wq = quartiles(b), quartiles(w)
+    worse_by = relative(wq[1], bq[1]) * (-1 if up else 1)
+    if worse_by > bound:
+        return "worse"
+    if relative(bq[2], bq[1]) - relative(bq[0], bq[1]) > bound:
+        return "unresolved"
+    return "ok"
+
+
+def report(workload, pairs, higher, bounds):
+    """Print one workload's table and verdicts. `pairs` is a list of
+    (seed, base, work)."""
     print(f"\n== {workload}: {len(pairs)} pairs")
     for seed, b, w in pairs:
         for side, r in (("base", b), ("work", w)):
@@ -79,17 +106,23 @@ def report(workload, pairs, higher):
     names = sorted(set(done[0][0]["metrics"]) & set(done[0][1]["metrics"]))
     print(f"   {'metric':34} {'base q1 / median / q3':>30} {'work q1 / median / q3':>30}"
           f" {'change':>8} {'won':>6}")
+    values = {}
     for name in names:
         b = [p[0]["metrics"][name]["value"] for p in done if name in p[0]["metrics"]]
         w = [p[1]["metrics"][name]["value"] for p in done if name in p[1]["metrics"]]
         if len(b) != len(done) or len(w) != len(done):
             continue
+        values[name] = b, w
         up = higher.get(name, False)
         won = sum(1 for x, y in zip(b, w) if (y > x if up else y < x))
         bq, wq = quartiles(b), quartiles(w)
-        change = (wq[1] - bq[1]) / bq[1] * 100 if bq[1] else 0.0
+        change = relative(wq[1], bq[1]) * 100
         fmt = lambda q: f"{q[0]:.4g} / {q[1]:.4g} / {q[2]:.4g}"
         print(f"   {name:34} {fmt(bq):>30} {fmt(wq):>30} {change:+7.1f}% {won:>3}/{len(done)}")
+    print("   verdicts against the BENCHMARK.json bounds:")
+    for name, bound in bounds.items():
+        v = verdict(*values[name], higher[name], bound) if name in values else "missing"
+        print(f"   {name:34} bound {bound:<5} {v}")
 
 
 def main():
@@ -111,7 +144,7 @@ def main():
                          capture_output=True, text=True).stdout.strip()
     base = os.path.join(scratch, f"base-{sha[:12]}")  # kept with --scratch: its build is cached
     export(sha, base)
-    higher = directions()
+    higher, bounds = load_spec()
     runs = {}
     try:
         for workload in a.workloads:
@@ -128,7 +161,7 @@ def main():
                           f"{'failed' if got[side] is None else 'done'}", file=sys.stderr)
                 pairs.append((seed, got["base"], got["work"]))
             runs[workload] = pairs
-            report(workload, pairs, higher)
+            report(workload, pairs, higher, bounds)
     finally:
         if not a.scratch:
             shutil.rmtree(scratch, ignore_errors=True)
