@@ -115,19 +115,20 @@ object GroupByOps {
                             aggCols: Seq[String], groups: Seq[String]): Map[String, Seq[Double]] = {
     val projs = for (v <- groups; a <- aggCols)
       yield s"sum(CASE WHEN $gCol = $v THEN $a ELSE 0 END)"
-    val partials = client.select(table, s"SELECT ${projs.mkString(", ")} FROM S3Object") // one row per object
-    val totals = Array.fill(groups.size * aggCols.size)(0.0)
-    partials.foreach { row =>
-      var i = 0
-      while (i < totals.length) {
-        if (row(i) != null && row(i).nonEmpty) totals(i) += row(i).toDouble
-        i += 1
-      }
-    }
+    val totals = sumPartials(client.select(table, s"SELECT ${projs.mkString(", ")} FROM S3Object"))
     groups.zipWithIndex.map { case (v, gi) =>
       v -> aggCols.indices.map(ai => totals(gi * aggCols.size + ai))
     }.toMap
   }
+
+  /** Merge the one-row-per-object partial sums of a CASE aggregation: the
+    * column-wise totals. An object with no matching rows returns NULL (an
+    * empty cell) for SUM, which counts as 0.
+    */
+  def sumPartials(partials: Seq[Array[String]]): Array[Double] =
+    Array.tabulate(partials.headOption.fold(0)(_.length)) { i =>
+      partials.foldLeft(0.0)((t, row) => if (row(i) == null || row(i).isEmpty) t else t + row(i).toDouble)
+    }
 
   private def gTypeOf(client: S3Client, table: String, gCol: String): DataType = {
     val s = client.schemaOf(table)

@@ -44,24 +44,19 @@ object JoinOps {
       .agg(sum("o_totalprice").as("total"))
 
   /** Baseline join: both tables fully transferred, everything in Spark. */
-  def baseline(spark: SparkSession, p: Params, scale: Double): PlanResult = {
-    Sim.reset()
-    val cust = Sim.inPhase("build") { force(customerSide(spark, p, pushdown = false)) }
-    val ords = Sim.inPhase("probe") { force(ordersSide(spark, p, pushdown = false)) }
-    val df = Sim.inPhase("join") {
-      Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
-      force(joinAndSum(cust.df, ords.df)).df
-    }
-    finish(df, Seq(Seq("build", "probe"), Seq("join")), scale)
-  }
+  def baseline(spark: SparkSession, p: Params, scale: Double): PlanResult =
+    twoScans(spark, p, scale, pushdown = false)
 
   /** Filtered join: base predicates + projection pushed via S3 Select; the
     * join itself still runs in Spark over both (filtered) tables.
     */
-  def filtered(spark: SparkSession, p: Params, scale: Double): PlanResult = {
+  def filtered(spark: SparkSession, p: Params, scale: Double): PlanResult =
+    twoScans(spark, p, scale, pushdown = true)
+
+  private def twoScans(spark: SparkSession, p: Params, scale: Double, pushdown: Boolean): PlanResult = {
     Sim.reset()
-    val cust = Sim.inPhase("build") { force(customerSide(spark, p, pushdown = true)) }
-    val ords = Sim.inPhase("probe") { force(ordersSide(spark, p, pushdown = true)) }
+    val cust = Sim.inPhase("build") { force(customerSide(spark, p, pushdown)) }
+    val ords = Sim.inPhase("probe") { force(ordersSide(spark, p, pushdown)) }
     val df = Sim.inPhase("join") {
       Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
       force(joinAndSum(cust.df, ords.df)).df

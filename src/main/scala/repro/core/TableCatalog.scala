@@ -72,9 +72,9 @@ object TableCatalog {
     val idxRows = keys.zipWithIndex.flatMap { case (k, shard) =>
       store.get(Bucket, k) match {
         case c: CsvObject =>
-          val rs = c.rows
-          rs.indices.map { r =>
-            Array(rs(r)(colIdx), shard.toString, c.rowOffsets(r).toString, c.rowLengths(r).toString)
+          val s = shard.toString
+          c.rows.indices.map { r =>
+            Array(c.rows(r)(colIdx), s, c.rowOffsets(r).toString, c.rowLengths(r).toString)
           }
         case _ => throw new IllegalArgumentException(s"index over non-CSV object $k")
       }

@@ -3,36 +3,42 @@ package repro.s3
 /** Minimal CSV encoding used by the simulated object store.
   *
   * Values are comma-separated, newline-terminated; our synthetic data never
-  * contains commas/newlines/quotes so no quoting is needed (asserted at
-  * encode time). Byte offsets of each row are recorded so that index tables
-  * (§IV-A) can address individual records with HTTP range GETs.
+  * contains commas/newlines/quotes so no quoting is needed (asserted by
+  * [[checkRow]]). Sizes, offsets and lengths count UTF-8 bytes, so that index
+  * tables (§IV-A) can address individual records with HTTP range GETs.
   */
 object CsvCodec {
 
   /** One encoded object: raw bytes plus per-row (offset, length). */
   final case class Encoded(bytes: Array[Byte], offsets: Array[Long], lengths: Array[Int])
 
+  /** Reject a row with a cell that would need quoting (unsupported). */
+  def checkRow(r: Array[String]): Unit = r.foreach { cell =>
+    require(cell == null || (cell.indexOf(',') < 0 && cell.indexOf('\n') < 0 && cell.indexOf('"') < 0),
+      s"cell needs quoting, unsupported: '$cell'")
+  }
+
   def encode(rows: Iterable[Array[String]]): Encoded = {
-    val sb   = new java.lang.StringBuilder
-    val offs = Array.newBuilder[Long]
+    val out  = new java.io.ByteArrayOutputStream
     val lens = Array.newBuilder[Int]
     rows.foreach { r =>
-      val start = sb.length
-      var i = 0
-      while (i < r.length) {
-        val cell = if (r(i) == null) "" else r(i)
-        require(cell.indexOf(',') < 0 && cell.indexOf('\n') < 0 && cell.indexOf('"') < 0,
-          s"cell needs quoting, unsupported: '$cell'")
-        sb.append(cell)
-        if (i < r.length - 1) sb.append(',')
-        i += 1
-      }
-      sb.append('\n')
-      offs += start.toLong
-      lens += (sb.length - start)
+      val bytes = line(r)
+      out.write(bytes)
+      lens += bytes.length
     }
-    Encoded(sb.toString.getBytes(java.nio.charset.StandardCharsets.UTF_8), offs.result(), lens.result())
+    val lengths = lens.result()
+    Encoded(out.toByteArray, offsets(lengths), lengths)
   }
+
+  /** One record: cells joined by commas and ended by a newline; a null cell is empty. */
+  def line(r: Array[String]): Array[Byte] = {
+    checkRow(r)
+    r.iterator.map(c => if (c == null) "" else c).mkString("", ",", "\n")
+      .getBytes(java.nio.charset.StandardCharsets.UTF_8)
+  }
+
+  /** Start offset of each record, given every record's length. */
+  def offsets(lengths: Array[Int]): Array[Long] = lengths.scanLeft(0L)(_ + _).init
 
   def decodeLine(line: String): Array[String] = {
     // split preserving trailing empty cells
@@ -47,11 +53,26 @@ object CsvCodec {
     lines.iterator.take(n).map(decodeLine).toArray
   }
 
-  /** Encode a single output row the way S3 Select returns results (CSV). */
+  /** Encoded size of one row, the way S3 Select returns results (CSV). */
   def rowBytes(row: Array[String]): Int = {
-    var n = row.length // commas + newline
+    var n = math.max(row.length, 1) // commas + newline
     var i = 0
-    while (i < row.length) { if (row(i) != null) n += row(i).length; i += 1 }
+    while (i < row.length) { n += cellBytes(row(i)); i += 1 }
+    n
+  }
+
+  /** UTF-8 size of one cell; a null cell is empty. */
+  def cellBytes(cell: String): Int = {
+    if (cell == null) return 0
+    var n = cell.length
+    var i = 0
+    while (i < cell.length) {
+      // a char beyond ASCII takes 2 bytes below U+0800 and 3 above; a
+      // surrogate pair (two chars) takes 4
+      val c = cell.charAt(i)
+      if (c >= 0x80) n += (if (c < 0x800 || Character.isSurrogate(c)) 1 else 2)
+      i += 1
+    }
     n
   }
 }

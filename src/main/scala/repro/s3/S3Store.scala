@@ -10,14 +10,17 @@ import scala.collection.concurrent.TrieMap
   *    accounting and a Snappy-like compression factor; a scan touches only
   *    the referenced columns' (compressed) bytes. Responses are still CSV,
   *    as the real S3 Select returns CSV even for Parquet objects.
+  *
+  * Both keep one in-memory copy: the rows they were built from. Sizes,
+  * record offsets and range-GET bytes are derived from those rows.
   */
 sealed trait StoredObject {
   def key: String
   def schema: StructType
-  def numRows: Int
-  def sizeBytes: Long
-  /** Row-major view for the evaluator. */
+  /** The stored rows, read by the evaluator and by whole-object GETs. */
   def rows: Array[Array[String]]
+  def numRows: Int = rows.length
+  def sizeBytes: Long
   /** Bytes the storage engine reads to scan the given columns (None = all). */
   def scanBytes(columns: Option[Set[String]]): Long
 }
@@ -25,47 +28,44 @@ sealed trait StoredObject {
 final class CsvObject(
     val key: String,
     val schema: StructType,
-    val bytes: Array[Byte],
-    val rowOffsets: Array[Long],
-    val rowLengths: Array[Int],
+    val rows: Array[Array[String]],
 ) extends StoredObject {
-  lazy val rows: Array[Array[String]] = CsvCodec.decode(bytes)
-  def numRows: Int = rowOffsets.length
-  def sizeBytes: Long = bytes.length.toLong
+  rows.foreach(CsvCodec.checkRow)
+  /** Encoded UTF-8 length of each record, newline included. */
+  val rowLengths: Array[Int] = rows.map(CsvCodec.rowBytes)
+  /** Byte offset of each record in the encoded object. */
+  val rowOffsets: Array[Long] = CsvCodec.offsets(rowLengths)
+  val sizeBytes: Long = scanBytesUpTo(numRows)
   /** CSV is row-major: column pruning cannot reduce scanned bytes. */
   def scanBytes(columns: Option[Set[String]]): Long = sizeBytes
   /** Bytes scanned when the engine stops after `rowsRead` rows (LIMIT). */
-  def scanBytesUpTo(rowsRead: Int): Long =
-    if (rowsRead >= numRows) sizeBytes
-    else if (rowsRead <= 0) 0L
-    else rowOffsets(rowsRead - 1) + rowLengths(rowsRead - 1)
+  def scanBytesUpTo(rowsRead: Int): Long = {
+    val last = math.min(rowsRead, numRows) - 1
+    if (last < 0) 0L else rowOffsets(last) + rowLengths(last)
+  }
 
-  def range(offset: Long, length: Int): Array[Byte] =
-    java.util.Arrays.copyOfRange(bytes, offset.toInt, offset.toInt + length)
+  /** The whole object's CSV encoding, built on each call. */
+  def bytes: Array[Byte] = CsvCodec.encode(rows).bytes
+
+  /** Byte-range GET. The range must be exactly one whole record. */
+  def range(offset: Long, length: Int): Array[Byte] = {
+    val r = java.util.Arrays.binarySearch(rowOffsets, offset)
+    require(r >= 0 && rowLengths(r) == length,
+      s"range [$offset, +$length) of $key is not one whole record")
+    CsvCodec.line(rows(r))
+  }
 }
 
 final class ColumnarObject(
     val key: String,
     val schema: StructType,
-    columns: Array[Array[String]],       // columns(c)(r)
+    val rows: Array[Array[String]],
     val compressionFactor: Double,       // paper: Snappy Parquet = 0.7 of raw
 ) extends StoredObject {
-  val numRows: Int = if (columns.isEmpty) 0 else columns(0).length
   /** Raw text bytes per column (what the column would occupy as CSV cells). */
-  val columnRawBytes: Array[Long] = columns.map(col => col.map(c => c.length + 1L).sum)
+  val columnRawBytes: Array[Long] =
+    Array.tabulate(schema.size)(c => rows.foldLeft(0L)((n, r) => n + CsvCodec.cellBytes(r(c)) + 1))
   def sizeBytes: Long = math.round(columnRawBytes.sum * compressionFactor)
-  lazy val rows: Array[Array[String]] = {
-    val out = Array.ofDim[Array[String]](numRows)
-    var r = 0
-    while (r < numRows) {
-      val row = Array.ofDim[String](columns.length)
-      var c = 0
-      while (c < columns.length) { row(c) = columns(c)(r); c += 1 }
-      out(r) = row
-      r += 1
-    }
-    out
-  }
   def scanBytes(cols: Option[Set[String]]): Long = cols match {
     case None => sizeBytes
     case Some(names) =>
@@ -110,39 +110,31 @@ object S3Store {
   /** The shared "cloud" instance. */
   val global: S3Store = new S3Store
 
-  /** Build and store a partitioned CSV table: rows are split round-robin-
-    * by-block into `numShards` objects named `<name>/part-<i>`.
+  /** Build and store a partitioned CSV table: rows are split into
+    * `numShards` consecutive blocks stored as `<name>/part-<i>`.
     */
   def putCsvTable(store: S3Store, bucket: String, name: String, schema: StructType,
-                  rows: Array[Array[String]], numShards: Int): Seq[String] = {
-    store.drop(bucket, name + "/")
-    val shards = splitShards(rows, numShards)
-    shards.zipWithIndex.map { case (shard, i) =>
-      val enc = CsvCodec.encode(shard)
-      val key = f"$name/part-$i%04d"
-      store.put(bucket, new CsvObject(key, schema, enc.bytes, enc.offsets, enc.lengths))
-      key
-    }
-  }
+                  rows: Array[Array[String]], numShards: Int): Seq[String] =
+    putTable(store, bucket, name, rows, numShards)(new CsvObject(_, schema, _))
 
   /** Build and store a partitioned Parquet-lite table. */
   def putColumnarTable(store: S3Store, bucket: String, name: String, schema: StructType,
                        rows: Array[Array[String]], numShards: Int,
-                       compressionFactor: Double = 0.7): Seq[String] = {
-    store.drop(bucket, name + "/")
-    val shards = splitShards(rows, numShards)
-    shards.zipWithIndex.map { case (shard, i) =>
-      val nCols = schema.size
-      val cols = Array.tabulate(nCols)(c => shard.map(r => r(c)))
-      val key = f"$name/part-$i%04d"
-      store.put(bucket, new ColumnarObject(key, schema, cols, compressionFactor))
-      key
-    }
-  }
+                       compressionFactor: Double = 0.7): Seq[String] =
+    putTable(store, bucket, name, rows, numShards)(new ColumnarObject(_, schema, _, compressionFactor))
 
-  private def splitShards(rows: Array[Array[String]], numShards: Int): Seq[Array[Array[String]]] = {
+  /** Replace the table `name` by `numShards` objects; with more shards than
+    * rows the last objects are empty.
+    */
+  private def putTable(store: S3Store, bucket: String, name: String, rows: Array[Array[String]],
+                       numShards: Int)(make: (String, Array[Array[String]]) => StoredObject): Seq[String] = {
+    store.drop(bucket, name + "/")
     val n = rows.length
     val per = math.max(1, (n + numShards - 1) / numShards)
-    (0 until numShards).map(i => rows.slice(i * per, math.min(n, (i + 1) * per)))
+    (0 until numShards).map { i =>
+      val key = f"$name/part-$i%04d"
+      store.put(bucket, make(key, rows.slice(i * per, math.min(n, (i + 1) * per))))
+      key
+    }
   }
 }

@@ -117,35 +117,34 @@ final class S3SelectScanBuilder(tableSchema: StructType, opts: S3SelectOptions)
     pushedAggs match {
       case Some((aggs, outSchema)) =>
         val q = SelectQuery(aggs.map(a => Proj(a, None)), where, None)
-        new S3SelectScan(opts, outSchema, q, pushdownUsed = true, aggregate = true)
+        new S3SelectScan(opts, outSchema, Some(q))
       case None =>
         val cols =
           if (requiredSchema.isEmpty) Seq(Proj(Lit(SLong(1)), Some("one"))) // COUNT(*)-style scans
           else requiredSchema.fieldNames.toSeq.map(n => Proj(Col(n.toLowerCase), None))
         if (opts.pushdown) {
           val q = SelectQuery(cols, where, pushedLimit)
-          new S3SelectScan(opts, requiredSchema, q, pushdownUsed = true, aggregate = false)
+          new S3SelectScan(opts, requiredSchema, Some(q))
         } else {
           // Baseline: full-object GET; Spark evaluates everything itself.
           // The reader still outputs the pruned schema — project by index
           // after the (fully transferred) rows arrive at the compute side.
           val idx = requiredSchema.fieldNames.map(n =>
             tableSchema.fieldIndex(tableSchema.fieldNames.find(_.equalsIgnoreCase(n)).getOrElse(n)))
-          new S3SelectScan(opts, requiredSchema, SelectQuery(Seq(Star), None, None),
-            pushdownUsed = false, aggregate = false, projIdx = Some(idx))
+          new S3SelectScan(opts, requiredSchema, None, projIdx = Some(idx))
         }
     }
   }
 }
 
-final class S3SelectScan(opts: S3SelectOptions, outSchema: StructType, query: SelectQuery,
-                         pushdownUsed: Boolean, aggregate: Boolean,
+/** @param query the S3 Select query, or None for whole-object GETs */
+final class S3SelectScan(opts: S3SelectOptions, outSchema: StructType, query: Option[SelectQuery],
                          projIdx: Option[Array[Int]] = None)
     extends Scan with Batch {
   override def readSchema(): StructType = outSchema
   override def toBatch: Batch = this
   override def description(): String =
-    if (pushdownUsed) s"s3select ${SqlRender.render(query)}" else s"s3get ${opts.table}"
+    query.fold(s"s3get ${opts.table}")(q => s"s3select ${SqlRender.render(q)}")
 
   override def planInputPartitions(): Array[InputPartition] = {
     val client = new S3Client(S3Store.global, opts.bucket)
@@ -156,7 +155,7 @@ final class S3SelectScan(opts: S3SelectOptions, outSchema: StructType, query: Se
     // Render → string → parse round-trip: enforces the 256 KB limit on the
     // exact bytes that would go over the wire (extraWhere can be a large
     // Bloom-filter predicate). The readers run the query parsed here.
-    val parsed = if (pushdownUsed) Some(SelectParser.parse(SqlRender.render(query))) else None
+    val parsed = query.map(q => SelectParser.parse(SqlRender.render(q)))
     new S3SelectReaderFactory(opts, outSchema, parsed, projIdx)
   }
 }

@@ -179,17 +179,7 @@ object Tpch {
     val sums = Sim.inPhase("caseagg") {
       val projs = for (g <- groups; t <- terms) yield
         s"sum(CASE WHEN l_returnflag = '${g._1}' AND l_linestatus = '${g._2}' AND $datePred THEN $t ELSE 0 END)"
-      val partials = client.select("lineitem", s"SELECT ${projs.mkString(", ")} FROM S3Object")
-      val totals = Array.fill(groups.size * terms.size)(0.0)
-      partials.foreach { row =>
-        var i = 0
-        while (i < totals.length) {
-          // an object with no rows returns NULL (an empty cell) for SUM
-          if (row(i).nonEmpty) totals(i) += row(i).toDouble
-          i += 1
-        }
-      }
-      totals
+      GroupByOps.sumPartials(client.select("lineitem", s"SELECT ${projs.mkString(", ")} FROM S3Object"))
     }
     val schema = StructType(Seq(
       StructField("l_returnflag", StringType), StructField("l_linestatus", StringType),

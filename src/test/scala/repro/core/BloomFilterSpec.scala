@@ -69,8 +69,7 @@ class BloomFilterSpec extends AnyFunSuite {
     val f = BloomFilter.build(keys, 0.01)
     val schema = StructType(Seq(StructField("k", LongType)))
     val all = (0L until 1200L).map(i => Array(i.toString))
-    val enc = CsvCodec.encode(all)
-    val obj = new CsvObject("x", schema, enc.bytes, enc.offsets, enc.lengths)
+    val obj = new CsvObject("x", schema, all.toArray)
     val sql = s"SELECT k FROM S3Object WHERE ${f.toSqlPredicate("k")}"
     val passed = SelectEngine.run(obj, SelectParser.parse(sql)).rows.map(_(0).toLong).toSet
     assert((0L until 1200L).forall(i => passed.contains(i) == f.mightContain(i)))

@@ -185,6 +185,11 @@ class GroupByOpsSpec extends SparkSpec {
     assert(math.abs(agg.exprFactor - (1.0 + Model.CaseCostPerTerm * 8 * 2)) < 1e-6)
   }
 
+  test("CASE partials merge column-wise, an empty or NULL cell counting as 0") {
+    val totals = GroupByOps.sumPartials(Seq(Array("1.5", ""), Array(null, "2"), Array("2.5", "3")))
+    assert(totals.toSeq == Seq(4.0, 5.0))
+  }
+
   test("hybrid sample phase scans only ~1% of the table") {
     ensure()
     val r = GroupByOps.hybrid(spark, table, "g1", aggCols, 8, 100)

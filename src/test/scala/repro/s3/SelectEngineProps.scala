@@ -31,10 +31,7 @@ object SelectEngineProps extends Properties("SelectEngine") {
     }
   }
 
-  private val obj: CsvObject = {
-    val enc = CsvCodec.encode(rows)
-    new CsvObject("prop/part-0000", schema, enc.bytes, enc.offsets, enc.lengths)
-  }
+  private val obj: CsvObject = new CsvObject("prop/part-0000", schema, rows.toArray)
 
   private lazy val conn = {
     Class.forName("org.duckdb.DuckDBDriver")

@@ -12,10 +12,7 @@ class SelectEngineSpec extends AnyFunSuite {
     StructField("d", DateType),
   ))
 
-  private def obj(rows: Array[String]*): CsvObject = {
-    val enc = CsvCodec.encode(rows.toSeq)
-    new CsvObject("t/part-0000", schema, enc.bytes, enc.offsets, enc.lengths)
-  }
+  private def obj(rows: Array[String]*): CsvObject = new CsvObject("t/part-0000", schema, rows.toArray)
 
   private val data = obj(
     Array("1", "10.5", "alpha", "1994-01-01"),
@@ -208,11 +205,8 @@ class SelectEngineSpec extends AnyFunSuite {
   }
 
   // ------------------------------------------------------------- columnar
-  private def colObj(compression: Double = 0.7): ColumnarObject = {
-    val rows = data.rows
-    val cols = Array.tabulate(schema.size)(c => rows.map(_(c)))
-    new ColumnarObject("t.parquet/part-0000", schema, cols, compression)
-  }
+  private def colObj(compression: Double = 0.7): ColumnarObject =
+    new ColumnarObject("t.parquet/part-0000", schema, data.rows, compression)
 
   test("columnar object yields same query results as CSV") {
     val o = colObj()

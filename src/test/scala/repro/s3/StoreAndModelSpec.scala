@@ -56,6 +56,15 @@ class CsvCodecSpec extends AnyFunSuite {
     val enc = CsvCodec.encode(rows)
     assert(CsvCodec.decode(enc.bytes).map(_.toSeq).toSeq == rows.map(_.toSeq))
   }
+
+  test("rowBytes, offsets and lengths count UTF-8 bytes") {
+    val rows = Seq(Array("é", "1"), Array("x", "€"), Array("\ud83d\ude00"))
+    val enc = CsvCodec.encode(rows)
+    assert(CsvCodec.rowBytes(rows.head) == CsvCodec.encode(Seq(rows.head)).bytes.length)
+    assert(enc.lengths.toSeq == rows.map(CsvCodec.rowBytes))
+    assert(enc.lengths.toSeq == Seq(5, 6, 5))
+    assert(enc.offsets.last + enc.lengths.last == enc.bytes.length)
+  }
 }
 
 class S3StoreSpec extends AnyFunSuite {
@@ -119,6 +128,76 @@ class S3StoreSpec extends AnyFunSuite {
     val obj = store.get("b", "t/part-0000").asInstanceOf[CsvObject]
     val line = obj.range(obj.rowOffsets(1), obj.rowLengths(1))
     assert(new String(line).stripLineEnd == "1,v1")
+  }
+
+  test("range GET of the record after a non-ASCII record returns that record") {
+    val store = new S3Store
+    S3Store.putCsvTable(store, "b", "t", schema, Array(Array("0", "é"), Array("1", "v1")), 1)
+    val obj = store.get("b", "t/part-0000").asInstanceOf[CsvObject]
+    assert(new String(obj.range(obj.rowOffsets(1), obj.rowLengths(1)), "UTF-8") == "1,v1\n")
+    assert(new S3Client(store, "b").getRange("t/part-0000", obj.rowOffsets(1), obj.rowLengths(1))
+      .toSeq == Seq("1", "v1"))
+    assert(obj.sizeBytes == "0,é\n1,v1\n".getBytes("UTF-8").length)
+  }
+
+  test("range GETs reject ranges that are not one whole record") {
+    val store = new S3Store
+    S3Store.putCsvTable(store, "b", "t", schema, rows(4), 3)
+    val obj = store.get("b", "t/part-0000").asInstanceOf[CsvObject]
+    val empty = store.get("b", "t/part-0002").asInstanceOf[CsvObject]
+    val (off, len) = (obj.rowOffsets(1), obj.rowLengths(1))
+    assertThrows[IllegalArgumentException](obj.range(off + 1, len))     // starts mid-record
+    assertThrows[IllegalArgumentException](obj.range(off, len - 1))     // ends mid-record
+    assertThrows[IllegalArgumentException](obj.range(off, len + 1))     // spans two records
+    assertThrows[IllegalArgumentException](obj.range(obj.sizeBytes, 4)) // past the end
+    assertThrows[IllegalArgumentException](empty.range(0, 1))
+  }
+
+  test("a CSV object rejects cells that need quoting") {
+    assertThrows[IllegalArgumentException](new CsvObject("x", schema, Array(Array("1", "a,b"))))
+    assertThrows[IllegalArgumentException](new CsvObject("x", schema, Array(Array("1", "a\"b"))))
+  }
+
+  /** 3 rows in 8 shards, as CSV and as Parquet-lite: the last 5 objects of each are empty. */
+  private def tablesWithEmptyShards(store: S3Store): Seq[String] = {
+    S3Store.putCsvTable(store, "b", "csv", schema, rows(3), 8)
+    S3Store.putColumnarTable(store, "b", "col", schema, rows(3), 8)
+    Seq("csv", "col")
+  }
+
+  test("empty shards have no rows or bytes, and scans and aggregates over them return nothing") {
+    val store = new S3Store
+    tablesWithEmptyShards(store).foreach { t =>
+      val empty = store.list("b", t + "/").map(store.get("b", _)).filter(_.numRows == 0)
+      assert(empty.size == 5, t)
+      empty.foreach { obj =>
+        assert(obj.sizeBytes == 0, t)
+        val scan = SelectEngine.run(obj, SelectParser.parse("SELECT * FROM S3Object"))
+        assert(scan.rows.isEmpty && scan.scannedBytes == 0 && scan.returnedBytes == 0, t)
+        val agg = SelectEngine.run(obj, SelectParser.parse("SELECT count(*), sum(k) FROM S3Object"))
+        assert(agg.rows.map(_.toSeq) == Vector(Seq("0", "")), t)
+      }
+    }
+  }
+
+  test("a LIMIT select over empty and non-empty shards charges only the shards it reached") {
+    val store = new S3Store
+    val client = new S3Client(store, "b")
+    tablesWithEmptyShards(store).foreach { t =>
+      val objs = store.list("b", t + "/").map(store.get("b", _))
+      def limited(n: Int): (Vector[String], PhaseView) = {
+        Sim.reset()
+        val out = Sim.inPhase("p") { client.select(t, s"SELECT k FROM S3Object LIMIT $n") }
+        (out.map(_.head), Sim.get("p"))
+      }
+      def scanned(os: Seq[StoredObject]) = os.map(_.scanBytes(Some(Set("k")))).sum
+      val (two, v2) = limited(2)
+      assert(two == Vector("0", "1"), t)
+      assert(v2.selectRequests == 2 && v2.scannedBytes == scanned(objs.take(2)), t)
+      val (all, v5) = limited(5)
+      assert(all == Vector("0", "1", "2"), t)
+      assert(v5.selectRequests == 8 && v5.scannedBytes == scanned(objs), t)
+    }
   }
 
   test("columnar table preserves rows") {
