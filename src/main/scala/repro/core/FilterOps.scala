@@ -16,7 +16,7 @@ object FilterOps {
   def serverSide(spark: SparkSession, table: String, pred: Column, scale: Double): PlanResult = {
     Sim.reset()
     val client = new S3Client()
-    val df = Sim.inPhase("load") { force(read(spark, table, pushdown = false).where(pred)).df }
+    val df = Sim.inPhase("load") { toDriver(read(spark, table, pushdown = false).where(pred)).df }
     Sim.phase("load").localWork(client.tableRows(table), Model.RowLight) // local predicate eval
     finish(df, Seq(Seq("load")), scale)
   }
@@ -26,7 +26,7 @@ object FilterOps {
     */
   def s3Side(spark: SparkSession, table: String, pred: Column, scale: Double): PlanResult = {
     Sim.reset()
-    val df = Sim.inPhase("scan") { force(read(spark, table, pushdown = true).where(pred)).df }
+    val df = Sim.inPhase("scan") { toDriver(read(spark, table, pushdown = true).where(pred)).df }
     finish(df, Seq(Seq("scan")), scale)
   }
 
@@ -59,7 +59,7 @@ object FilterOps {
       Sim.currentPhase.localParse(fetched.iterator.map(r => CsvCodec.rowBytes(r).toLong).sum)
       fetched
     }
-    val df = force(TableCatalog.toDataFrame(spark, rows, schema)).df
+    val df = TableCatalog.toDataFrame(spark, rows, schema)
     finish(df, Seq(Seq("index"), Seq("fetch")), scale,
       Map("selectedRows" -> entries.size.toString))
   }

@@ -19,7 +19,7 @@ object GroupByOps {
     val df = Sim.inPhase("load") {
       val d = read(spark, table, pushdown = false)
         .groupBy(gCol).agg(aggCols.map(c => c -> "sum").toMap)
-      force(d).df
+      toDriver(d).df
     }
     Sim.phase("load").localWork(client.tableRows(table), Model.RowHash)
     finish(normalize(df, gCol, aggCols), Seq(Seq("load")), scale)
@@ -36,7 +36,7 @@ object GroupByOps {
       val d = read(spark, table, pushdown = true)
         .select(gCol, aggCols: _*)
         .groupBy(gCol).agg(aggCols.map(c => c -> "sum").toMap)
-      force(d).df
+      toDriver(d).df
     }
     Sim.phase("load").localWork(client.tableRows(table), Model.RowHash)
     finish(normalize(df, gCol, aggCols), Seq(Seq("load")), scale)
@@ -56,7 +56,7 @@ object GroupByOps {
       vs.map(_(0)).distinct.sortBy(_.toLong)
     }
     val sums = Sim.inPhase("caseagg") { caseAggregate(client, table, gCol, aggCols, values) }
-    val df = force(resultDf(spark, client, table, gCol, aggCols, sums)).df
+    val df = resultDf(spark, client, table, gCol, aggCols, sums)
     finish(df, Seq(Seq("distinct"), Seq("caseagg")), scale,
       Map("groups" -> values.size.toString))
   }
@@ -96,12 +96,12 @@ object GroupByOps {
       val schema = StructType(
         StructField(gCol, gTypeOf(client, table, gCol)) +:
           aggCols.map(c => StructField(c, DoubleType)))
-      force(TableCatalog.toDataFrame(spark, raw, schema)
+      toDriver(TableCatalog.toDataFrame(spark, raw, schema)
         .groupBy(gCol).agg(aggCols.map(c => c -> "sum").toMap)).df
     }
 
     val bigDf = resultDf(spark, client, table, gCol, aggCols, bigSums)
-    val df = force(normalize(bigDf.union(normalize(smallDf, gCol, aggCols)), gCol, aggCols)).df
+    val df = toDriver(normalize(bigDf.union(normalize(smallDf, gCol, aggCols)), gCol, aggCols)).df
     finish(df, Seq(Seq("sample"), Seq("bigagg", "small")), scale,
       Map("pushedGroups" -> big.size.toString))
   }

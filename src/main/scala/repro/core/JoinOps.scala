@@ -39,8 +39,11 @@ object JoinOps {
     if (pushdown) filtered.select("o_custkey", "o_totalprice") else filtered
   }
 
+  /** The server's hash join: the (driver-held) customers are the broadcast
+    * build side, the orders scan probes it.
+    */
   private def joinAndSum(cust: DataFrame, ords: DataFrame): DataFrame =
-    ords.join(cust, ords("o_custkey") === cust("c_custkey"))
+    ords.join(broadcast(cust), ords("o_custkey") === cust("c_custkey"))
       .agg(sum("o_totalprice").as("total"))
 
   /** Baseline join: both tables fully transferred, everything in Spark. */
@@ -55,11 +58,11 @@ object JoinOps {
 
   private def twoScans(spark: SparkSession, p: Params, scale: Double, pushdown: Boolean): PlanResult = {
     Sim.reset()
-    val cust = Sim.inPhase("build") { force(customerSide(spark, p, pushdown)) }
+    val cust = Sim.inPhase("build") { toDriver(customerSide(spark, p, pushdown)) }
     val ords = Sim.inPhase("probe") { force(ordersSide(spark, p, pushdown)) }
     val df = Sim.inPhase("join") {
       Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
-      force(joinAndSum(cust.df, ords.df)).df
+      toDriver(joinAndSum(cust.df, ords.df)).df
     }
     finish(df, Seq(Seq("build", "probe"), Seq("join")), scale)
   }
@@ -71,7 +74,7 @@ object JoinOps {
     */
   def bloom(spark: SparkSession, p: Params, scale: Double): PlanResult = {
     Sim.reset()
-    val cust = Sim.inPhase("build") { force(customerSide(spark, p, pushdown = true)) }
+    val cust = Sim.inPhase("build") { toDriver(customerSide(spark, p, pushdown = true)) }
     val keys = cust.df.select("c_custkey").collect().map(_.getLong(0))
     Sim.phase("build").localWork(keys.length.toLong, Model.RowLight) // filter construction
     val probe = bloomProbe(keys, p.fpr, "o_custkey")
@@ -81,7 +84,7 @@ object JoinOps {
     }
     val df = Sim.inPhase("join") {
       Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
-      force(joinAndSum(cust.df, ords.df)).df
+      toDriver(joinAndSum(cust.df, ords.df)).df
     }
     finish(df, Seq(Seq("build"), Seq("probe"), Seq("join")), scale, probe.info)
   }

@@ -4,6 +4,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.{count, lit}
 import repro.s3._
 
+import scala.jdk.CollectionConverters._
+
 /** Result of executing one operator strategy / query plan: the (real)
   * result rows, the measured per-phase IO metrics, and the modeled runtime
   * and dollar cost at paper scale.
@@ -20,7 +22,9 @@ final case class PlanResult(
   def getRequests: Long   = phases.map(_.getRequests).sum
 }
 
-/** A frame materialized by [[Plans.force]], and its row count. */
+/** A frame materialized by [[Plans.force]] or [[Plans.toDriver]], and its
+  * row count.
+  */
 final case class Forced(df: DataFrame, rows: Long)
 
 object Plans {
@@ -52,6 +56,24 @@ object Plans {
   }
 
   private val RowsMetric = "rows"
+
+  /** Materialize `df` inside the current phase by collecting its rows to the
+    * driver with one Spark job: the server holds what it read, as the paper's
+    * server does with each phase's S3 Select result (§V, §VII).
+    *
+    * The returned frame is a local relation over those rows: selecting
+    * columns from it or collecting it again starts no Spark job, and
+    * broadcasting it as a join's build side reads the driver's rows, never
+    * the store (Spark's broadcast exchange still runs one job over them,
+    * since it collects its child through an RDD). Use it for rows the
+    * driver itself reads (Bloom keys, build sides, plan results); rows that
+    * only feed Spark operators stay partitioned with [[force]], because
+    * large local relations are slow to scan downstream.
+    */
+  def toDriver(df: DataFrame): Forced = {
+    val rows = df.collect()
+    Forced(df.sparkSession.createDataFrame(rows.toSeq.asJava, df.schema), rows.length)
+  }
 
   /** Modeled runtime of a timeline: outer Seq = sequential stages, inner
     * Seq = phases running in parallel within a stage (max).

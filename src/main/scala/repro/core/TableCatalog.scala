@@ -7,6 +7,9 @@ import repro.SynthData
 import repro.s3._
 import repro.s3.datasource.RowCodecs
 
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+
 /** Materializes DataFrames into the simulated object store as partitioned
   * CSV (and optionally Parquet-lite) objects, and builds the §IV-A index
   * tables: `(value, shard, off, len)` rows addressing individual records of
@@ -69,12 +72,14 @@ object TableCatalog {
       StructField("off", LongType),
       StructField("len", IntegerType),
     ))
+    val lenCells = mutable.HashMap.empty[Int, String] // one cell per distinct record length
     val idxRows = keys.zipWithIndex.flatMap { case (k, shard) =>
       store.get(Bucket, k) match {
         case c: CsvObject =>
           val s = shard.toString
           c.rows.indices.map { r =>
-            Array(c.rows(r)(colIdx), s, c.rowOffsets(r).toString, c.rowLengths(r).toString)
+            val len = lenCells.getOrElseUpdate(c.rowLengths(r), c.rowLengths(r).toString)
+            Array(c.rows(r)(colIdx), s, c.rowOffsets(r).toString, len)
           }
         case _ => throw new IllegalArgumentException(s"index over non-CSV object $k")
       }
@@ -118,12 +123,14 @@ object TableCatalog {
     }
   }
 
-  /** Rebuild a DataFrame from raw engine/string rows with a given schema. */
+  /** Rebuild a DataFrame from raw engine/string rows with a given schema: a
+    * local relation over rows the driver holds.
+    */
   def toDataFrame(spark: SparkSession, rows: Seq[Array[String]], schema: StructType): DataFrame = {
     val sparkRows = rows.map { cells =>
       Row.fromSeq(schema.fields.toSeq.zipWithIndex.map { case (f, i) => parseCell(cells(i), f.dataType) })
     }
-    spark.createDataFrame(spark.sparkContext.parallelize(sparkRows.toSeq, 4), schema)
+    spark.createDataFrame(sparkRows.asJava, schema)
   }
 
   /** A stored cell as the external value a Spark `Row` holds. */

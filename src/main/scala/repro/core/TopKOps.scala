@@ -21,7 +21,7 @@ object TopKOps {
     val client = new S3Client()
     val n = client.tableRows(table)
     val df = Sim.inPhase("load") {
-      force(read(spark, table, pushdown = false).orderBy(asc(col)).limit(k)).df
+      toDriver(read(spark, table, pushdown = false).orderBy(asc(col)).limit(k)).df
     }
     // every transferred row is pushed through the server-side heap
     Sim.phase("load").localWork(n, Model.RowHash)
@@ -54,7 +54,7 @@ object TopKOps {
       val d = force(survivors)
       Sim.currentPhase.localWork(d.rows, Model.RowHash) // returned rows feed the heap
       Sim.currentPhase.localSeconds.add(d.rows * Model.RowSortPerLog * log2(k + 1))
-      force(d.df.orderBy(asc(col)).limit(k)).df
+      toDriver(d.df.orderBy(asc(col)).limit(k)).df
     }
     finish(df, Seq(Seq("sample"), Seq("scan")), scale,
       Map("threshold" -> threshold.toString, "sampleSize" -> sampleSize.toString))

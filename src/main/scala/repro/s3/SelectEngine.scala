@@ -3,6 +3,9 @@ package repro.s3
 import org.apache.spark.sql.types._
 import SelectAst._
 
+import java.util.concurrent.ConcurrentHashMap
+import java.util.regex.Pattern
+
 /** Executes a parsed S3 Select query against one stored object.
   *
   * Mirrors the service semantics the paper depends on:
@@ -352,14 +355,20 @@ object SelectEngine {
       }
     }
 
-    def likeMatch(s: String, pattern: String): Boolean = {
+    def likeMatch(s: String, pattern: String): Boolean =
+      likePatterns.computeIfAbsent(pattern, compileLike).matcher(s).matches()
+
+    /** Each LIKE pattern's regex, compiled on its first row. */
+    private val likePatterns = new ConcurrentHashMap[String, Pattern]()
+
+    private def compileLike(pattern: String): Pattern = {
       val sb = new StringBuilder
       pattern.foreach {
         case '%' => sb.append(".*")
         case '_' => sb.append('.')
-        case c   => sb.append(java.util.regex.Pattern.quote(c.toString))
+        case c   => sb.append(Pattern.quote(c.toString))
       }
-      s.matches(sb.toString)
+      Pattern.compile(sb.toString)
     }
 
     /** Format a value the way the CSV response serializes it. */

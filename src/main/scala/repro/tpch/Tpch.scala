@@ -7,6 +7,8 @@ import repro.core._
 import repro.core.Plans._
 import repro.s3._
 
+import scala.jdk.CollectionConverters._
+
 /** TPC-H-lite queries of the paper's Figure 10 (Q1, Q3, Q6, Q14, Q17, Q19),
   * each with a *baseline* plan (full-table GETs, all computation in Spark)
   * and an *optimized* plan using the S3 Select techniques of §IV–§VII.
@@ -139,7 +141,7 @@ object Tpch {
     dfs.foreach { case (t, d) => d.createOrReplaceTempView(t) }
     val df = Sim.inPhase("local") {
       Sim.currentPhase.localWork(q.tables.map(client.tableRows).sum, Model.RowHash)
-      force(spark.sql(q.sparkSql)).df
+      toDriver(spark.sql(q.sparkSql)).df
     }
     finish(df, Seq(q.tables.map(t => s"load:$t"), Seq("local")), scale)
   }
@@ -190,7 +192,7 @@ object Tpch {
       val base = gi * terms.size
       Row(rf, ls, sums(base), sums(base + 1), sums(base + 2), sums(base + 3), sums(base + 4).toLong)
     }
-    val df = force(spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), schema)).df
+    val df = spark.createDataFrame(rows.asJava, schema)
     finish(df, Seq(Seq("groups"), Seq("caseagg")), scale)
   }
 
@@ -210,7 +212,7 @@ object Tpch {
     val bloom1 = JoinOps.bloomProbe(custKeys, 0.01, "o_custkey")
 
     val orders = Sim.inPhase("orders") {
-      force(read(spark, "orders", pushdown = true, extraWhere = bloom1.extraWhere)
+      toDriver(read(spark, "orders", pushdown = true, extraWhere = bloom1.extraWhere)
         .where(col("o_orderdate") < lit(Q3Date).cast("date"))
         .select("o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"))
     }
@@ -230,9 +232,9 @@ object Tpch {
         custKeys.map(k => Array(k.toString)),
         StructType(Seq(StructField("c_custkey", LongType))))
       val (l, o) = (lines.df, orders.df)
-      force(
-        l.join(o, l("l_orderkey") === o("o_orderkey"))
-          .join(cust, o("o_custkey") === cust("c_custkey"))
+      toDriver(
+        l.join(broadcast(o), l("l_orderkey") === o("o_orderkey"))
+          .join(broadcast(cust), o("o_custkey") === cust("c_custkey"))
           .groupBy("l_orderkey", "o_orderdate", "o_shippriority")
           .agg(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))).as("revenue"))
           .select("l_orderkey", "revenue", "o_orderdate", "o_shippriority")
@@ -249,7 +251,7 @@ object Tpch {
   private def optimizedQ6(spark: SparkSession, scale: Double): PlanResult = {
     Sim.reset()
     val df = Sim.inPhase("agg") {
-      force(
+      toDriver(
         read(spark, "lineitem", pushdown = true)
           .where(col("l_shipdate") >= lit("1994-01-01").cast("date") &&
                  col("l_shipdate") < lit("1995-01-01").cast("date") &&
@@ -266,12 +268,12 @@ object Tpch {
   private def optimizedQ14(spark: SparkSession, scale: Double): PlanResult = {
     Sim.reset()
     val lines = Sim.inPhase("lineitem") {
-      force(read(spark, "lineitem", pushdown = true)
+      toDriver(read(spark, "lineitem", pushdown = true)
         .where(col("l_shipdate") >= lit("1995-09-01").cast("date") &&
                col("l_shipdate") < lit("1995-10-01").cast("date"))
         .select("l_partkey", "l_extendedprice", "l_discount"))
     }
-    val partKeys = lines.df.select("l_partkey").distinct().collect().map(_.getLong(0))
+    val partKeys = lines.df.select("l_partkey").collect().map(_.getLong(0)).distinct
     Sim.phase("lineitem").localWork(lines.rows, Model.RowLight)
     val bloom = JoinOps.bloomProbe(partKeys, 0.01, "p_partkey")
 
@@ -283,8 +285,8 @@ object Tpch {
       Sim.currentPhase.localWork(lines.rows + parts.rows, Model.RowHash)
       val (l, p) = (lines.df, parts.df)
       val disc = col("l_extendedprice") * (lit(1) - col("l_discount"))
-      force(
-        l.join(p, l("l_partkey") === p("p_partkey"))
+      toDriver(
+        l.join(broadcast(p), l("l_partkey") === p("p_partkey"))
           .agg((lit(100.0) *
             sum(when(col("p_type").startsWith("PROMO"), disc).otherwise(0.0)) / sum(disc))
             .as("promo_revenue"))).df
@@ -320,9 +322,9 @@ object Tpch {
         StructType(Seq(StructField("p_partkey", LongType))))
       val avgQ = l.groupBy(col("l_partkey").as("a_partkey"))
         .agg((avg("l_quantity") * 0.2).as("qty_limit"))
-      force(
-        l.join(parts, l("l_partkey") === parts("p_partkey"))
-          .join(avgQ, l("l_partkey") === avgQ("a_partkey"))
+      toDriver(
+        l.join(broadcast(parts), l("l_partkey") === parts("p_partkey"))
+          .join(broadcast(avgQ), l("l_partkey") === avgQ("a_partkey"))
           .where(col("l_quantity") < col("qty_limit"))
           .agg((sum("l_extendedprice") / 7.0).as("avg_yearly"))).df
     }
@@ -345,7 +347,7 @@ object Tpch {
         col("p_size") >= 1 && col("p_size") <= 15)
 
     val parts = Sim.inPhase("part") {
-      force(read(spark, "part", pushdown = true).where(partPred)
+      toDriver(read(spark, "part", pushdown = true).where(partPred)
         .select("p_partkey", "p_brand", "p_container", "p_size"))
     }
     val partKeys = parts.df.select("p_partkey").collect().map(_.getLong(0))
@@ -369,8 +371,8 @@ object Tpch {
           col("l_quantity") >= 10 && col("l_quantity") <= 20 && col("p_size") <= 10) ||
         (col("p_brand") === "Brand#34" && col("p_container").isin("LG BOX", "LG PKG") &&
           col("l_quantity") >= 20 && col("l_quantity") <= 30 && col("p_size") <= 15)
-      force(
-        l.join(p, l("l_partkey") === p("p_partkey"))
+      toDriver(
+        l.join(broadcast(p), l("l_partkey") === p("p_partkey"))
           .where(pairPred)
           .agg(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))).as("revenue"))).df
     }

@@ -8,9 +8,10 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). Automatic broadcast joins are disabled so shuffle/join papers
+  * actually exercise the shuffle path at SF~=0.1. The plans' server-side
+  * hash joins broadcast their build side explicitly (`broadcast(...)`), as
+  * the paper's server builds its hash table from the build phase's rows.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

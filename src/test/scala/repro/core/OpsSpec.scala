@@ -252,3 +252,68 @@ class TopKOpsSpec extends SparkSpec {
            small.phases.find(_.name == "scan").get.returnedBytes)
   }
 }
+
+/** The join, group-by and top-K plans over tables stored in more objects
+  * than they have rows: the empty objects add nothing, and the S3-side plan
+  * agrees with its server-side twin.
+  */
+class EmptyObjectOpsSpec extends SparkSpec {
+
+  private val shards = TableCatalog.DefaultShards
+  private def sums(r: PlanResult): Seq[Option[BigDecimal]] =
+    r.df.collect().toSeq.map(row =>
+      Option(row.get(0)).map(v => BigDecimal(v.asInstanceOf[Double]).setScale(2, BigDecimal.RoundingMode.HALF_UP)))
+
+  test("bloom join over empty objects matches the baseline join, also with zero build keys") {
+    try {
+      // 5 customers and 6 of their orders, each in 8 objects: 3 and 2 are empty
+      TableCatalog.register(SynthData.customer(spark, 0.01).limit(5), "customer", shards)
+      TableCatalog.register(
+        SynthData.orders(spark, 0.01).where(col("o_custkey") <= 5).limit(6), "orders", shards)
+      val all = JoinOps.Params(upperAcct = 1e9, None)
+      val allBloom = JoinOps.bloom(spark, all, 100)
+      assert(sums(allBloom).flatten.nonEmpty)
+      assert(sums(allBloom) == sums(JoinOps.baseline(spark, all, 100)))
+
+      val none = JoinOps.Params(upperAcct = -2000, None) // no customer passes: an all-zero filter
+      val noneBloom = JoinOps.bloom(spark, none, 100)
+      assert(noneBloom.info("fpr").toDouble == 0.01)
+      assert(sums(noneBloom) == Seq(None))
+      assert(sums(JoinOps.baseline(spark, none, 100)) == Seq(None))
+    } finally TableCatalog.resetTpch() // the next ensureTpch re-registers the shared tables
+  }
+
+  test("S3-side group-by over empty objects matches the server-side group-by") {
+    val table = "gb_empty"
+    TableCatalog.register(SynthData.groupTable(spark, 5, Seq(3), 2, theta = 1.1, seed = 3), table, shards)
+    val rows = (r: PlanResult) => r.df.collect().map { row =>
+      (row.get(0), (1 to 2).map(i => BigDecimal(row.getDouble(i)).setScale(4, BigDecimal.RoundingMode.HALF_UP)))
+    }.sortBy(_._1.toString).toSeq
+    val s3 = GroupByOps.s3Side(spark, table, "g0", Seq("v0", "v1"), 100)
+    assert(s3.phases.find(_.name == "caseagg").get.selectRequests == shards)
+    assert(rows(s3).nonEmpty)
+    assert(rows(s3) == rows(GroupByOps.serverSide(spark, table, "g0", Seq("v0", "v1"), 100)))
+  }
+
+  test("sampling top-K whose sample reaches empty objects matches the server-side top-K") {
+    val table = "topk_empty"
+    TableCatalog.register(SynthData.lineitem(spark, 0.01).limit(5), table, shards)
+    val prices = (r: PlanResult) => r.df.select("l_extendedprice").collect().map(_.getDouble(0)).sorted.toSeq
+    val s3 = TopKOps.sampling(spark, table, "l_extendedprice", 3, sampleSize = 100, 100)
+    assert(s3.phases.find(_.name == "sample").get.selectRequests == shards) // read past the last row
+    assert(prices(s3).size == 3)
+    assert(prices(s3) == prices(TopKOps.serverSide(spark, table, "l_extendedprice", 3, 100)))
+  }
+
+  test("collecting an empty phase of a table with empty objects gives an empty frame") {
+    val table = "topk_empty"
+    TableCatalog.register(SynthData.lineitem(spark, 0.01).limit(5), table, shards)
+    val scan = Plans.read(spark, table).where(col("l_extendedprice") < 0)
+    Sim.reset()
+    val f = Sim.inPhase("scan") { Plans.toDriver(scan) }
+    assert(f.rows == 0)
+    assert(f.df.schema == scan.schema)
+    assert(f.df.collect().isEmpty)
+    assert(Sim.get("scan").selectRequests == shards)
+  }
+}

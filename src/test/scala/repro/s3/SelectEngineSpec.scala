@@ -65,6 +65,18 @@ class SelectEngineSpec extends AnyFunSuite {
     assert(run("SELECT id FROM S3Object WHERE name LIKE 'bet_'").rows.map(_(0)) == Vector("2"))
   }
 
+  test("LIKE matches regex metacharacters in the pattern literally") {
+    val o = obj(
+      Array("1", "1.0", "abc", "1994-01-01"),
+      Array("2", "2.0", "a.cd", "1994-01-01"),
+      Array("3", "3.0", "(x)y", "1994-01-01"),
+      Array("4", "4.0", "xy", "1994-01-01"))
+    assert(run("SELECT id FROM S3Object WHERE name LIKE 'a.c%'", o).rows.map(_(0)) == Vector("2"))
+    assert(run("SELECT id FROM S3Object WHERE name LIKE '(x)%'", o).rows.map(_(0)) == Vector("3"))
+    assert(run("SELECT id FROM S3Object WHERE name NOT LIKE '(x)%'", o).rows.map(_(0)) ==
+      Vector("1", "2", "4"))
+  }
+
   test("IN and NOT IN") {
     assert(run("SELECT id FROM S3Object WHERE name IN ('beta', 'gamma')").rows.size == 2)
     assert(run("SELECT id FROM S3Object WHERE id NOT IN (1, 2, 3)").rows.map(_(0)).toSet == Set("4", "5"))

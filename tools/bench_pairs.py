@@ -16,6 +16,12 @@ end-to-end metric of BENCHMARK.json gets a verdict against its bound:
 `worse` if the working tree's median is worse than the base's by more than
 the bound, else `unresolved` if the base's interquartile range is wider than
 the bound (relative to its median), else `ok`.
+
+With `--claim METRIC WORKLOAD`, the script also prints whether a claimed gain
+on that metric and workload is `met`: the working tree wins at least nine
+tenths of all pairs run (ties and failed runs count for neither side), and
+its median is better than the base's by more than the base's interquartile
+range.
 """
 
 import argparse
@@ -89,9 +95,22 @@ def verdict(b, w, up, bound):
     return "ok"
 
 
+def claim_met(b, w, up, pairs_run):
+    """Whether the working tree's runs `w` beat the base's runs `b` by the
+    claim rule, and the line that says why."""
+    wins = sum(1 for x, y in zip(b, w) if (y > x if up else y < x))
+    bq, wq = quartiles(b), quartiles(w)
+    gain = (wq[1] - bq[1]) * (1 if up else -1)
+    met = wins * 10 >= 9 * pairs_run and gain > bq[2] - bq[0]
+    why = (f"{wins}/{pairs_run} pairs won, median {bq[1]:.4g} -> {wq[1]:.4g}"
+           f" (gain {gain:.4g}), base IQR {bq[2] - bq[0]:.4g}")
+    return met, why
+
+
 def report(workload, pairs, higher, bounds):
-    """Print one workload's table and verdicts. `pairs` is a list of
-    (seed, base, work)."""
+    """Print one workload's table and verdicts, and return each metric's
+    (base runs, work runs) over the pairs where both runs succeeded. `pairs`
+    is a list of (seed, base, work)."""
     print(f"\n== {workload}: {len(pairs)} pairs")
     for seed, b, w in pairs:
         for side, r in (("base", b), ("work", w)):
@@ -102,7 +121,7 @@ def report(workload, pairs, higher, bounds):
                       f" correct={r['correct']}")
     done = [(b, w) for _, b, w in pairs if b is not None and w is not None]
     if not done:
-        return
+        return {}
     names = sorted(set(done[0][0]["metrics"]) & set(done[0][1]["metrics"]))
     print(f"   {'metric':34} {'base q1 / median / q3':>30} {'work q1 / median / q3':>30}"
           f" {'change':>8} {'won':>6}")
@@ -123,6 +142,7 @@ def report(workload, pairs, higher, bounds):
     for name, bound in bounds.items():
         v = verdict(*values[name], higher[name], bound) if name in values else "missing"
         print(f"   {name:34} bound {bound:<5} {v}")
+    return values
 
 
 def main():
@@ -136,7 +156,11 @@ def main():
     ap.add_argument("--scratch", help="directory for the base checkout, kept for later calls"
                                       " (default: a temp dir, removed at the end)")
     ap.add_argument("--json", help="also write every run's result line to this file")
+    ap.add_argument("--claim", nargs=2, metavar=("METRIC", "WORKLOAD"),
+                    help="print whether a claimed gain on METRIC for WORKLOAD is met")
     a = ap.parse_args()
+    if a.claim and a.claim[1] not in a.workloads:
+        ap.error(f"--claim workload {a.claim[1]} is not among --workloads")
     sys.stdout.reconfigure(line_buffering=True)  # each report shows as soon as it is done
 
     scratch = a.scratch or tempfile.mkdtemp(prefix="bench_pairs_")
@@ -145,6 +169,8 @@ def main():
     base = os.path.join(scratch, f"base-{sha[:12]}")  # kept with --scratch: its build is cached
     export(sha, base)
     higher, bounds = load_spec()
+    if a.claim and a.claim[0] not in higher:
+        sys.exit(f"--claim metric {a.claim[0]} is not in BENCHMARK.json")
     runs = {}
     try:
         for workload in a.workloads:
@@ -161,7 +187,14 @@ def main():
                           f"{'failed' if got[side] is None else 'done'}", file=sys.stderr)
                 pairs.append((seed, got["base"], got["work"]))
             runs[workload] = pairs
-            report(workload, pairs, higher, bounds)
+            values = report(workload, pairs, higher, bounds)
+            if a.claim and a.claim[1] == workload:
+                metric = a.claim[0]
+                if metric in values:
+                    met, why = claim_met(*values[metric], higher[metric], len(pairs))
+                    print(f"   claim {metric} on {workload}: {'met' if met else 'not met'} ({why})")
+                else:
+                    print(f"   claim {metric} on {workload}: not met (no complete pair)")
     finally:
         if not a.scratch:
             shutil.rmtree(scratch, ignore_errors=True)
