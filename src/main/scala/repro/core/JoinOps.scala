@@ -64,6 +64,7 @@ object JoinOps {
       Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
       toDriver(joinAndSum(cust.df, ords.df)).df
     }
+    release(ords)
     finish(df, Seq(Seq("build", "probe"), Seq("join")), scale)
   }
 
@@ -86,6 +87,7 @@ object JoinOps {
       Sim.currentPhase.localWork(cust.rows + ords.rows, Model.RowHash)
       toDriver(joinAndSum(cust.df, ords.df)).df
     }
+    release(ords)
     finish(df, Seq(Seq("build"), Seq("probe"), Seq("join")), scale, probe.info)
   }
 

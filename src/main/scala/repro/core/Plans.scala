@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions.{count, lit}
+import org.apache.spark.storage.StorageLevel
 import repro.s3._
 
 import scala.jdk.CollectionConverters._
@@ -44,18 +46,35 @@ object Plans {
     *
     * `localCheckpoint` keeps the frame's partitioning (one partition per
     * stored object for a scan), so Spark's partial aggregates downstream
-    * keep their order. It registers nothing in the `CacheManager`: Spark's
-    * `ContextCleaner` frees the blocks once the frame is unreachable. The
-    * row count is observed by the same job, so callers that charge
-    * `localWork` per row need no second action.
+    * keep their order. Its blocks are stored serialized, so putting one
+    * copies bytes instead of sampling the size of every row object; they
+    * may spill to disk but are never dropped, because a dropped block would
+    * be recomputed from the scan, reading the store and metering the phase
+    * again (so never a `MEMORY_ONLY*` level). It registers nothing in the
+    * `CacheManager`; the plan frees the blocks with [[release]]. The row
+    * count is observed by the same job, so callers that charge `localWork`
+    * per row need no second action.
     */
   def force(df: DataFrame): Forced = {
     val observed = df.observe(RowsMetric, count(lit(1)))
-    val materialized = observed.localCheckpoint(eager = true)
+    val materialized = observed.localCheckpoint(eager = true, StorageLevel.MEMORY_AND_DISK_SER)
     Forced(materialized, observed.queryExecution.observedMetrics(RowsMetric).getLong(0))
   }
 
   private val RowsMetric = "rows"
+
+  /** Free the blocks of frames materialized by [[force]] once the plan that
+    * made them holds its result on the driver. Left alone, the blocks stay
+    * in memory until a garbage collection finds the frame unreachable and
+    * Spark's `ContextCleaner` then removes them, so the heap carries the
+    * whole-table loads of earlier plans for as long as no old-generation
+    * collection runs. A released frame must not be read again: its blocks
+    * are gone, and reading it fails instead of reading the store.
+    * Frames from [[toDriver]] hold no blocks and are left as they are.
+    */
+  def release(frames: Forced*): Unit =
+    frames.flatMap(_.df.queryExecution.logical.collect { case r: LogicalRDD => r.rdd })
+      .foreach(_.unpersist(blocking = false))
 
   /** Materialize `df` inside the current phase by collecting its rows to the
     * driver with one Spark job: the server holds what it read, as the paper's

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{SparkSession, functions}
 import org.apache.spark.sql.functions._
 import repro.s3._
 import Plans._
@@ -33,7 +33,8 @@ object TopKOps {
     * ordering column and takes the K-th smallest as the threshold; phase 2
     * pushes `col <= threshold` to S3 and runs top-K over the survivors.
     * (The table's rows are in random order, so "first S" is a uniform
-    * sample — exactly the paper's argument.)
+    * sample — exactly the paper's argument.) A sample of fewer than K
+    * values bounds nothing, so phase 2 then pushes no threshold.
     */
   def sampling(spark: SparkSession, table: String, col: String, k: Int, sampleSize: Long,
                scale: Double): PlanResult = {
@@ -44,20 +45,20 @@ object TopKOps {
       val vals = client.select(table, s"SELECT $col FROM S3Object LIMIT $sampleSize")
         .map(_(0).toDouble)
       Sim.currentPhase.localSeconds.add(vals.length * Model.RowSortPerLog * log2(vals.length + 1))
-      val sorted = vals.sorted
-      sorted(math.min(k - 1, sorted.length - 1))
+      if (vals.length < k) None else Some(vals.sorted.apply(k - 1))
     }
 
     val df = Sim.inPhase("scan") {
-      val survivors = read(spark, table, pushdown = true)
-        .where(org.apache.spark.sql.functions.col(col) <= threshold)
-      val d = force(survivors)
+      val scan = read(spark, table, pushdown = true)
+      val d = force(threshold.fold(scan)(t => scan.where(functions.col(col) <= t)))
       Sim.currentPhase.localWork(d.rows, Model.RowHash) // returned rows feed the heap
       Sim.currentPhase.localSeconds.add(d.rows * Model.RowSortPerLog * log2(k + 1))
-      toDriver(d.df.orderBy(asc(col)).limit(k)).df
+      val top = toDriver(d.df.orderBy(asc(col)).limit(k)).df
+      release(d)
+      top
     }
     finish(df, Seq(Seq("sample"), Seq("scan")), scale,
-      Map("threshold" -> threshold.toString, "sampleSize" -> sampleSize.toString))
+      threshold.map(t => "threshold" -> t.toString).toMap + ("sampleSize" -> sampleSize.toString))
   }
 
   private def log2(x: Double): Double = math.log(x) / math.log(2)

@@ -219,36 +219,43 @@ object Figures {
     * queries + six TPC-H queries + geo-mean (§VIII).
     */
   def fig10(spark: SparkSession, sf: Double): Fig = {
-    TableCatalog.ensureTpch(spark, sf)
-    val scale = tpchScale(sf)
-    val k = 100
-    val sOpt = TopKOps.optimalSampleSize(k, client.tableRows("lineitem"), 0.1)
-    val filterHi = 900 + 1e-3 * 90000
-    val joinP = JoinOps.Params(-950, None)
-
-    val ops: Seq[(String, PlanResult, PlanResult)] = Seq(
-      ("Filter",
-        FilterOps.serverSide(spark, "lineitem", col("l_extendedprice") <= filterHi, scale),
-        FilterOps.s3Side(spark, "lineitem", col("l_extendedprice") <= filterHi, scale)),
-      ("Join",
-        JoinOps.baseline(spark, joinP, scale),
-        JoinOps.bloom(spark, joinP, scale)),
-      ("Group-by",
-        GroupByOps.serverSide(spark, "customer", "c_nationkey", Seq("c_acctbal"), scale),
-        GroupByOps.s3Side(spark, "customer", "c_nationkey", Seq("c_acctbal"), scale)),
-      ("Top-K",
-        TopKOps.serverSide(spark, "lineitem", "l_extendedprice", k, scale),
-        TopKOps.sampling(spark, "lineitem", "l_extendedprice", k, sOpt, scale)),
-    )
-    val tpch: Seq[(String, PlanResult, PlanResult)] = Tpch.queries.map { q =>
-      (q.name, Tpch.baseline(spark, q, scale), Tpch.optimized(spark, q.name, scale))
-    }
-    val entries = (ops ++ tpch).flatMap { case (name, base, opt) =>
+    val entries = fig10Plans(spark, sf).flatMap { case (name, baseline, optimized) =>
+      val base = baseline()
+      val opt  = optimized()
       Seq(Entry(name, "baseline", base),
           Entry(name, "optimized",
             opt.copy(info = opt.info + ("speedup" -> f"${base.runtimeSeconds / opt.runtimeSeconds}%.2f"))))
     }
     Fig("Figure 10: baseline vs optimized PushdownDB", entries)
+  }
+
+  /** The rows of Figure 10 over the TPC-H-lite tables at `sf` (registered
+    * here): each row's name, its baseline plan and its optimized plan.
+    */
+  def fig10Plans(spark: SparkSession, sf: Double): Seq[(String, () => PlanResult, () => PlanResult)] = {
+    TableCatalog.ensureTpch(spark, sf)
+    val scale = tpchScale(sf)
+    val k = 100
+    val sOpt = TopKOps.optimalSampleSize(k, client.tableRows("lineitem"), 0.1)
+    val filter = col("l_extendedprice") <= 900 + 1e-3 * 90000
+    val joinP = JoinOps.Params(-950, None)
+
+    Seq[(String, () => PlanResult, () => PlanResult)](
+      ("Filter",
+        () => FilterOps.serverSide(spark, "lineitem", filter, scale),
+        () => FilterOps.s3Side(spark, "lineitem", filter, scale)),
+      ("Join",
+        () => JoinOps.baseline(spark, joinP, scale),
+        () => JoinOps.bloom(spark, joinP, scale)),
+      ("Group-by",
+        () => GroupByOps.serverSide(spark, "customer", "c_nationkey", Seq("c_acctbal"), scale),
+        () => GroupByOps.s3Side(spark, "customer", "c_nationkey", Seq("c_acctbal"), scale)),
+      ("Top-K",
+        () => TopKOps.serverSide(spark, "lineitem", "l_extendedprice", k, scale),
+        () => TopKOps.sampling(spark, "lineitem", "l_extendedprice", k, sOpt, scale)),
+    ) ++ Tpch.queries.map { q =>
+      (q.name, () => Tpch.baseline(spark, q, scale), () => Tpch.optimized(spark, q.name, scale))
+    }
   }
 
   /** Geo-mean speedup and cost ratio over a fig10 result. */

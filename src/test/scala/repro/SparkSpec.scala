@@ -10,8 +10,10 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Automatic broadcast joins are disabled so shuffle/join papers
   * actually exercise the shuffle path at SF~=0.1. The plans' server-side
-  * hash joins broadcast their build side explicitly (`broadcast(...)`), as
-  * the paper's server builds its hash table from the build phase's rows.
+  * hash joins broadcast their build side explicitly, as the paper's server
+  * builds its hash table from the build phase's rows: the operator plans
+  * with `broadcast(...)`, the TPC-H baselines with `BROADCAST` hints in
+  * their SQL.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -243,6 +243,15 @@ class TopKOpsSpec extends SparkSpec {
     assert(qualified < 60000 / 10)
   }
 
+  test("a sample of fewer than K values pushes no threshold and still returns the top K") {
+    ensure()
+    val prices = (r: PlanResult) => r.df.select("l_extendedprice").collect().map(_.getDouble(0)).sorted.toSeq
+    val r = TopKOps.sampling(spark, "lineitem", "l_extendedprice", k = 100, sampleSize = 10, 100)
+    assert(!r.info.contains("threshold"))
+    assert(prices(r).size == 100)
+    assert(prices(r) == prices(TopKOps.serverSide(spark, "lineitem", "l_extendedprice", 100, 100)))
+  }
+
   test("larger samples tighten the threshold") {
     ensure()
     val small = TopKOps.sampling(spark, "lineitem", "l_extendedprice", 100, 500, 100)
@@ -303,6 +312,15 @@ class EmptyObjectOpsSpec extends SparkSpec {
     assert(s3.phases.find(_.name == "sample").get.selectRequests == shards) // read past the last row
     assert(prices(s3).size == 3)
     assert(prices(s3) == prices(TopKOps.serverSide(spark, table, "l_extendedprice", 3, 100)))
+  }
+
+  test("sampling top-K over an empty table returns no rows, as the server-side top-K does") {
+    val table = "topk_none"
+    TableCatalog.register(SynthData.lineitem(spark, 0.01).limit(0), table, shards)
+    val s3 = TopKOps.sampling(spark, table, "l_extendedprice", 3, sampleSize = 10, 100)
+    assert(!s3.info.contains("threshold"))
+    assert(s3.df.collect().isEmpty)
+    assert(TopKOps.serverSide(spark, table, "l_extendedprice", 3, 100).df.collect().isEmpty)
   }
 
   test("collecting an empty phase of a table with empty objects gives an empty frame") {

@@ -2,16 +2,18 @@ package repro.core
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.execution.LogicalRDD
+import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
+import repro.experiments.Figures
 import repro.s3._
-import repro.tpch.Tpch
 
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 
 /** How a plan phase is materialized. `Plans.force` and `Plans.toDriver`
   * each meter the scan once and count rows in the same job, and leave
-  * nothing in Spark's cache. A `toDriver` frame is selected from or
+  * nothing in Spark's cache. A `force` frame keeps serialized blocks. A `toDriver` frame is selected from or
   * collected without a Spark job, and broadcast without reading the store.
   */
 class PlansSpec extends SparkSpec {
@@ -49,31 +51,11 @@ class PlansSpec extends SparkSpec {
     } finally sc.removeSparkListener(listener)
   }
 
-  /** Both Fig-10 columns, with the parameters of `Figures.fig10`. */
-  private def fig10Plans: Seq[(String, () => PlanResult)] = {
-    val scale = 10.0 / sf
-    val k = 100
-    val sOpt = TopKOps.optimalSampleSize(k, new S3Client().tableRows("lineitem"), 0.1)
-    val filter = col("l_extendedprice") <= 900 + 1e-3 * 90000
-    val joinP = JoinOps.Params(-950, None)
-    Seq[(String, () => PlanResult)](
-      "Filter baseline" -> (() => FilterOps.serverSide(spark, "lineitem", filter, scale)),
-      "Filter optimized" -> (() => FilterOps.s3Side(spark, "lineitem", filter, scale)),
-      "Join baseline" -> (() => JoinOps.baseline(spark, joinP, scale)),
-      "Join optimized" -> (() => JoinOps.bloom(spark, joinP, scale)),
-      "Group-by baseline" -> (() =>
-        GroupByOps.serverSide(spark, "customer", "c_nationkey", Seq("c_acctbal"), scale)),
-      "Group-by optimized" -> (() =>
-        GroupByOps.s3Side(spark, "customer", "c_nationkey", Seq("c_acctbal"), scale)),
-      "Top-K baseline" -> (() => TopKOps.serverSide(spark, "lineitem", "l_extendedprice", k, scale)),
-      "Top-K optimized" -> (() =>
-        TopKOps.sampling(spark, "lineitem", "l_extendedprice", k, sOpt, scale)),
-    ) ++ Tpch.queries.flatMap { q =>
-      Seq[(String, () => PlanResult)](
-        s"${q.name} baseline" -> (() => Tpch.baseline(spark, q, scale)),
-        s"${q.name} optimized" -> (() => Tpch.optimized(spark, q.name, scale)))
+  /** Both Fig-10 columns, as `Figures.fig10` runs them. */
+  private def fig10Plans: Seq[(String, () => PlanResult)] =
+    Figures.fig10Plans(spark, sf).flatMap { case (name, baseline, optimized) =>
+      Seq(s"$name baseline" -> baseline, s"$name optimized" -> optimized)
     }
-  }
 
   test("force counts the rows of the frame it materializes") {
     ensure()
@@ -85,6 +67,30 @@ class PlansSpec extends SparkSpec {
     assert(f.rows > 0)
     assert(f.df.rdd.getNumPartitions == new S3Client().objectKeys("lineitem").size)
     assert(Sim.get("scan").selectRequests == f.df.rdd.getNumPartitions)
+  }
+
+  test("force stores serialized blocks, meters its phase once, and is read twice without the store") {
+    ensure()
+    Sim.reset()
+    val f = Sim.inPhase("scan") {
+      Plans.force(Plans.read(spark, "lineitem").where(col("l_extendedprice") <= 5000))
+    }
+    val objects = new S3Client().objectKeys("lineitem").size
+    assert(Sim.get("scan").selectRequests == objects)
+    val metered = Sim.snapshot()
+
+    val rdd = f.df.queryExecution.logical.collectFirst { case r: LogicalRDD => r.rdd }.get
+    assert(rdd.getStorageLevel == StorageLevel.MEMORY_AND_DISK_SER)
+    val stored = spark.sparkContext.getRDDStorageInfo.find(_.id == rdd.id).get
+    assert(stored.storageLevel == StorageLevel.MEMORY_AND_DISK_SER)
+    assert(stored.numCachedPartitions == objects)
+
+    assert(f.df.collect().length == f.rows)
+    assert(f.df.agg(sum("l_extendedprice")).collect().length == 1)
+    assert(Sim.snapshot() == metered)
+
+    Plans.release(f)
+    assert(!spark.sparkContext.getPersistentRDDs.contains(rdd.id))
   }
 
   test("toDriver meters its phase with one job and counts its rows") {
@@ -138,8 +144,11 @@ class PlansSpec extends SparkSpec {
     ensure()
     spark.catalog.clearCache()
     fig10Plans.foreach { case (name, run) =>
+      val persisted = spark.sparkContext.getPersistentRDDs.keySet
       val r = run()
       assert(spark.sharedState.cacheManager.isEmpty, s"$name left a cached frame")
+      assert(spark.sparkContext.getPersistentRDDs.keySet == persisted, s"$name kept checkpointed blocks")
+      assert(spark.catalog.listTables().collect().forall(!_.isTemporary), s"$name left a temp view")
       val metered = Sim.snapshot()
       assert(metered == r.phases, name)
       val (_, jobs) = jobsOf(r.df.collect())

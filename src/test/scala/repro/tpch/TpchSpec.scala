@@ -1,15 +1,21 @@
 package repro.tpch
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.TableCatalog
+
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 
 /** Every TPC-H query of Figure 10, baseline and optimized, checked against
   * DuckDB at SF 0.01; plus plan-shape expectations (what moved, what was
   * pushed).
   */
-class TpchSpec extends SparkSpec {
+class TpchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private def ensure(): Unit = TableCatalog.ensureTpch(spark, 0.01)
   private def tables = Seq(
@@ -122,6 +128,33 @@ class TpchSpec extends SparkSpec {
         |        AND CAST(l_quantity AS DOUBLE) >= 20 AND CAST(l_quantity AS DOUBLE) <= 30
         |        AND CAST(p_size AS INT) >= 1 AND CAST(p_size AS INT) <= 15))""".stripMargin
     checkBoth(Tpch.q19, round2("revenue"), duck)
+  }
+
+  /** The executed plan of the one `collect` that `body` runs: with adaptive
+    * execution, the final plan. Listener events arrive asynchronously.
+    */
+  private def collectedPlan(body: => Unit): SparkPlan = {
+    val plans = new LinkedBlockingQueue[SparkPlan]()
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        if (funcName == "collect") plans.add(qe.executedPlan)
+      override def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      body
+      Option(plans.poll(30, TimeUnit.SECONDS)).getOrElse(fail("no collect seen"))
+    } finally spark.listenerManager.unregister(listener)
+  }
+
+  test("baseline joins are broadcast hash joins, never sort-merge joins") {
+    ensure()
+    Seq(Tpch.q3 -> 2, Tpch.q14 -> 1, Tpch.q17 -> 2, Tpch.q19 -> 1).foreach { case (q, joins) =>
+      val plan = collectedPlan(Tpch.baseline(spark, q, 100))
+      val hashJoins = collectWithSubqueries(plan) { case j: BroadcastHashJoinExec => j }
+      val sortMerge = collectWithSubqueries(plan) { case j: SortMergeJoinExec => j }
+      assert(hashJoins.size == joins && sortMerge.isEmpty, s"${q.name}:\n$plan")
+    }
   }
 
   test("baseline transfers every referenced table in full") {
