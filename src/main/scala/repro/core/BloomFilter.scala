@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.s3.SelectParser
+import repro.s3.{CsvCodec, SelectParser}
 
 /** Bloom filter as PushdownDB ships it to S3 Select (§V-A): universal
   * hashing `h(x) = ((a*x + b) mod n) mod m` (only arithmetic, which S3
@@ -43,8 +43,8 @@ final class BloomFilter private (val m: Int, val n: Long, val hashes: Seq[(Long,
     }.mkString(" AND ")
   }
 
-  /** Size in bytes of the serialized predicate. */
-  def sqlPredicateSize(attr: String): Int = toSqlPredicate(attr).length
+  /** Size in UTF-8 bytes of the serialized predicate. */
+  def sqlPredicateSize(attr: String): Int = CsvCodec.cellBytes(toSqlPredicate(attr))
 }
 
 object BloomFilter {

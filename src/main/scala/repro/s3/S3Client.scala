@@ -33,12 +33,14 @@ final class S3Client(store: S3Store = S3Store.global, bucket: String = S3Client.
     */
   def selectParsed(tableName: String, q: SelectQuery): Vector[Array[String]] = {
     val keys = objectKeys(tableName)
+    // the objects of one table share a schema: lower the query once for all
+    val lowered = SelectEngine.lower(q, store.get(bucket, keys.head).schema)
     q.limit match {
       case None =>
         val requests = keys.map { k =>
           val obj = store.get(bucket, k)
           S3Client.requestPool.submit(new Callable[SelectEngine.Result] {
-            def call(): SelectEngine.Result = SelectEngine.run(obj, q)
+            def call(): SelectEngine.Result = lowered.run(obj)
           })
         }
         requests.toVector.flatMap { r =>
@@ -50,7 +52,7 @@ final class S3Client(store: S3Store = S3Store.global, bucket: String = S3Client.
         var produced = 0L
         val it = keys.iterator
         while (it.hasNext && produced < limit) {
-          val rows = selectObject(it.next(), q.copy(limit = Some(limit - produced)))
+          val rows = recordSelect(lowered.run(store.get(bucket, it.next()), Some(limit - produced)))
           out ++= rows
           produced += rows.size
         }

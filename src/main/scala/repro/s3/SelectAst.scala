@@ -45,44 +45,37 @@ object SelectAst {
     }
   }
 
+  /** The direct subexpressions of `e`, left to right (a CASE gives each
+    * branch's condition and value in turn, then its ELSE).
+    */
+  def children(e: Expr): Seq[Expr] = e match {
+    case Col(_) | Lit(_)    => Nil
+    case Neg(x)             => Seq(x)
+    case Arith(_, l, r)     => Seq(l, r)
+    case Cmp(_, l, r)       => Seq(l, r)
+    case And(l, r)          => Seq(l, r)
+    case Or(l, r)           => Seq(l, r)
+    case Not(x)             => Seq(x)
+    case IsNull(x, _)       => Seq(x)
+    case In(x, vs, _)       => x +: vs
+    case Like(x, _, _)      => Seq(x)
+    case Cast(x, _)         => Seq(x)
+    case Substring(s, f, l) => Seq(s, f) ++ l
+    case CaseWhen(bs, o)    => bs.flatMap { case (c, v) => Seq(c, v) } ++ o
+    case AggCall(_, a)      => a.toSeq
+  }
+
   def containsAgg(e: Expr): Boolean = e match {
-    case AggCall(_, _)    => true
-    case Col(_) | Lit(_)  => false
-    case Neg(x)           => containsAgg(x)
-    case Arith(_, l, r)   => containsAgg(l) || containsAgg(r)
-    case Cmp(_, l, r)     => containsAgg(l) || containsAgg(r)
-    case And(l, r)        => containsAgg(l) || containsAgg(r)
-    case Or(l, r)         => containsAgg(l) || containsAgg(r)
-    case Not(x)           => containsAgg(x)
-    case IsNull(x, _)     => containsAgg(x)
-    case In(x, vs, _)     => containsAgg(x) || vs.exists(containsAgg)
-    case Like(x, _, _)    => containsAgg(x)
-    case Cast(x, _)       => containsAgg(x)
-    case Substring(s, f, l) => containsAgg(s) || containsAgg(f) || l.exists(containsAgg)
-    case CaseWhen(bs, o)  => bs.exists { case (c, v) => containsAgg(c) || containsAgg(v) } || o.exists(containsAgg)
+    case AggCall(_, _) => true
+    case _             => children(e).exists(containsAgg)
   }
 
   /** Column names referenced by an expression — used by the columnar
     * (Parquet-lite) scan path to charge IO only for touched columns.
     */
   def referencedColumns(e: Expr): Set[String] = e match {
-    case Col(n)           => Set(n.toLowerCase)
-    case Lit(_)           => Set.empty
-    case Neg(x)           => referencedColumns(x)
-    case Arith(_, l, r)   => referencedColumns(l) ++ referencedColumns(r)
-    case Cmp(_, l, r)     => referencedColumns(l) ++ referencedColumns(r)
-    case And(l, r)        => referencedColumns(l) ++ referencedColumns(r)
-    case Or(l, r)         => referencedColumns(l) ++ referencedColumns(r)
-    case Not(x)           => referencedColumns(x)
-    case IsNull(x, _)     => referencedColumns(x)
-    case In(x, vs, _)     => referencedColumns(x) ++ vs.flatMap(referencedColumns)
-    case Like(x, _, _)    => referencedColumns(x)
-    case Cast(x, _)       => referencedColumns(x)
-    case Substring(s, f, l) => referencedColumns(s) ++ referencedColumns(f) ++ l.toSeq.flatMap(referencedColumns)
-    case CaseWhen(bs, o) =>
-      bs.flatMap { case (c, v) => referencedColumns(c) ++ referencedColumns(v) }.toSet ++
-        o.toSeq.flatMap(referencedColumns)
-    case AggCall(_, a)    => a.toSeq.flatMap(referencedColumns).toSet
+    case Col(n) => Set(n.toLowerCase)
+    case _      => children(e).flatMap(referencedColumns).toSet
   }
 
   def referencedColumns(q: SelectQuery): Option[Set[String]] = {
@@ -97,22 +90,10 @@ object SelectAst {
     * compute slowdown model for the paper's S3-side group-by (§VI).
     */
   def caseTermCount(q: SelectQuery): Int = {
-    def count(e: Expr): Int = e match {
-      case CaseWhen(bs, o)  => bs.size + bs.map { case (c, v) => count(c) + count(v) }.sum + o.map(count).getOrElse(0)
-      case Col(_) | Lit(_)  => 0
-      case Neg(x)           => count(x)
-      case Arith(_, l, r)   => count(l) + count(r)
-      case Cmp(_, l, r)     => count(l) + count(r)
-      case And(l, r)        => count(l) + count(r)
-      case Or(l, r)         => count(l) + count(r)
-      case Not(x)           => count(x)
-      case IsNull(x, _)     => count(x)
-      case In(x, vs, _)     => count(x) + vs.map(count).sum
-      case Like(x, _, _)    => count(x)
-      case Cast(x, _)       => count(x)
-      case Substring(s, f, l) => count(s) + count(f) + l.map(count).getOrElse(0)
-      case AggCall(_, a)    => a.map(count).getOrElse(0)
-    }
+    def count(e: Expr): Int = (e match {
+      case CaseWhen(bs, _) => bs.size
+      case _               => 0
+    }) + children(e).map(count).sum
     q.projections.map { case Proj(e, _) => count(e); case Star => 0 }.sum +
       q.where.map(count).getOrElse(0)
   }
@@ -121,22 +102,10 @@ object SelectAst {
     * hash probes per row — drives the Bloom expression slowdown model (§V).
     */
   def substringProbeCount(q: SelectQuery): Int = {
-    def count(e: Expr): Int = e match {
-      case Substring(s, f, l) => 1 + count(s) + count(f) + l.map(count).getOrElse(0)
-      case Col(_) | Lit(_)  => 0
-      case Neg(x)           => count(x)
-      case Arith(_, l, r)   => count(l) + count(r)
-      case Cmp(_, l, r)     => count(l) + count(r)
-      case And(l, r)        => count(l) + count(r)
-      case Or(l, r)         => count(l) + count(r)
-      case Not(x)           => count(x)
-      case IsNull(x, _)     => count(x)
-      case In(x, vs, _)     => count(x) + vs.map(count).sum
-      case Like(x, _, _)    => count(x)
-      case Cast(x, _)       => count(x)
-      case CaseWhen(bs, o)  => bs.map { case (c, v) => count(c) + count(v) }.sum + o.map(count).getOrElse(0)
-      case AggCall(_, a)    => a.map(count).getOrElse(0)
-    }
+    def count(e: Expr): Int = (e match {
+      case Substring(_, _, _) => 1
+      case _                  => 0
+    }) + children(e).map(count).sum
     q.where.map(count).getOrElse(0)
   }
 }

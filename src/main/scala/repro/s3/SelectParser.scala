@@ -18,19 +18,23 @@ object SelectParser {
   val MaxExpressionBytes: Int = 256 * 1024
 
   def parse(sql: String): SelectQuery = {
-    if (sql.length > MaxExpressionBytes)
-      throw new ExpressionTooLargeException(sql.length, MaxExpressionBytes)
+    checkSize(sql)
     new P(tokenize(sql)).parseQuery()
   }
 
   /** Parse a bare predicate (used by tests and the `extraWhere` option). */
   def parsePredicate(sql: String): Expr = {
-    if (sql.length > MaxExpressionBytes)
-      throw new ExpressionTooLargeException(sql.length, MaxExpressionBytes)
+    checkSize(sql)
     val p = new P(tokenize(sql))
     val e = p.expr()
     p.expectEof()
     e
+  }
+
+  /** The limit counts the UTF-8 bytes of the SQL text, as sent. */
+  private def checkSize(sql: String): Unit = {
+    val size = CsvCodec.cellBytes(sql)
+    if (size > MaxExpressionBytes) throw new ExpressionTooLargeException(size, MaxExpressionBytes)
   }
 
   // ---------------------------------------------------------------- tokens

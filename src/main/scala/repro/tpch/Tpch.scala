@@ -172,6 +172,23 @@ object Tpch {
     case "Q19" => optimizedQ19(spark, scale)
   }
 
+  /** The five aggregates of Q1, each summed per group by a CASE term. */
+  val Q1Terms: Seq[String] = Seq(
+    "l_quantity",
+    "l_extendedprice",
+    "(l_extendedprice * (1 - l_discount))",
+    "(l_extendedprice * (1 - l_discount) * (1 + l_tax))",
+    "1")
+
+  /** Optimized Q1's phase-2 S3 Select query: one `SUM(CASE …)` per
+    * (returnflag, linestatus) group and term of [[Q1Terms]].
+    */
+  def q1CaseSql(groups: Seq[(String, String)]): String = {
+    val projs = for (g <- groups; t <- Q1Terms) yield
+      s"sum(CASE WHEN l_returnflag = '${g._1}' AND l_linestatus = '${g._2}' AND l_shipdate <= '$Q1Date' THEN $t ELSE 0 END)"
+    s"SELECT ${projs.mkString(", ")} FROM S3Object"
+  }
+
   /** Q1 optimized: S3-side group-by (§VI-A) — phase 1 finds the distinct
     * (returnflag, linestatus) pairs, phase 2 ships 6 groups × 5 aggregates
     * as CASE-encoded sums.
@@ -188,16 +205,8 @@ object Tpch {
       vs.map(r => (r(0), r(1))).distinct.sorted
     }
 
-    val terms = Seq(
-      "l_quantity",
-      "l_extendedprice",
-      "(l_extendedprice * (1 - l_discount))",
-      "(l_extendedprice * (1 - l_discount) * (1 + l_tax))",
-      "1")
     val sums = Sim.inPhase("caseagg") {
-      val projs = for (g <- groups; t <- terms) yield
-        s"sum(CASE WHEN l_returnflag = '${g._1}' AND l_linestatus = '${g._2}' AND $datePred THEN $t ELSE 0 END)"
-      GroupByOps.sumPartials(client.select("lineitem", s"SELECT ${projs.mkString(", ")} FROM S3Object"))
+      GroupByOps.sumPartials(client.select("lineitem", q1CaseSql(groups)))
     }
     val schema = StructType(Seq(
       StructField("l_returnflag", StringType), StructField("l_linestatus", StringType),
@@ -205,7 +214,7 @@ object Tpch {
       StructField("sum_disc_price", DoubleType), StructField("sum_charge", DoubleType),
       StructField("count_order", LongType)))
     val rows = groups.zipWithIndex.map { case ((rf, ls), gi) =>
-      val base = gi * terms.size
+      val base = gi * Q1Terms.size
       Row(rf, ls, sums(base), sums(base + 1), sums(base + 2), sums(base + 3), sums(base + 4).toLong)
     }
     val df = spark.createDataFrame(rows.asJava, schema)

@@ -82,6 +82,13 @@ class BloomFilterSpec extends AnyFunSuite {
     assert(BloomFilter.buildWithinLimit(keys, 0.01, "k", limitBytes = 100).isEmpty)
   }
 
+  test("predicate size counts UTF-8 bytes") {
+    val f = BloomFilter.build(Seq(1L, 2L, 3L), 0.1)
+    assert(f.sqlPredicateSize("k") == f.toSqlPredicate("k").length)
+    // each probe names the column once; 'é' takes 2 bytes
+    assert(f.sqlPredicateSize("k\u00e9") == f.toSqlPredicate("k\u00e9").length + f.k)
+  }
+
   test("buildWithinLimit degrades FPR until the predicate fits") {
     val keys = (1L to 20000L).toSeq
     // at p=0.01 the predicate is ~1.3 MB; limit forces a larger p

@@ -210,6 +210,15 @@ class SelectEngineSpec extends AnyFunSuite {
     assertThrows[EvalException](run("SELECT id, sum(price) FROM S3Object"))
   }
 
+  test("a query lowered for one schema and run on an object of another is lowered again") {
+    val q = SelectParser.parse("SELECT name, price * 2 FROM S3Object WHERE id >= 3")
+    val reordered = StructType(schema.fields.reverse)
+    val o = new CsvObject("r/part-0000", reordered, data.rows.map(_.reverse))
+    val lowered = SelectEngine.lower(q, schema)
+    assert(lowered.run(o).rows.map(_.toSeq) == lowered.run(data).rows.map(_.toSeq))
+    assert(lowered.run(data).rows.map(_.toSeq) == Vector(Seq("gamma", "60.5"), Seq("alphabet", "80.0"), Seq("empty", "")))
+  }
+
   test("returned bytes equal CSV encoding of the result") {
     val r = run("SELECT id, name FROM S3Object WHERE id <= 2")
     val expected = r.rows.map(CsvCodec.rowBytes(_).toLong).sum

@@ -195,6 +195,29 @@ class SelectParserSpec extends AnyFunSuite {
     assertThrows[ExpressionTooLargeException](parse(big))
   }
 
+  test("the limit counts UTF-8 bytes: exactly 256 KB parses, one byte more does not") {
+    def query(bytes: Int) = {
+      val frame = "SELECT a FROM t WHERE a = ''"
+      "SELECT a FROM t WHERE a = '" + "x" * (bytes - frame.length) + "'"
+    }
+    assert(query(256 * 1024).length == 262144)
+    assert(parse(query(262144)).where.isDefined)
+    val e = intercept[ExpressionTooLargeException](parse(query(262145)))
+    assert(e.size == 262145)
+    val pred = "a = '" + "x" * (262144 - 6) + "'"
+    assert(parsePredicate(pred).isInstanceOf[Cmp])
+    assertThrows[ExpressionTooLargeException](parsePredicate(pred + " "))
+  }
+
+  test("a multibyte literal under the limit in chars but over it in bytes is rejected") {
+    val lit = "\u00e9" * 140000 // 'é': 2 UTF-8 bytes each
+    val sql = s"SELECT a FROM t WHERE a = '$lit'"
+    assert(sql.length < 262144)
+    val e = intercept[ExpressionTooLargeException](parse(sql))
+    assert(e.size == sql.length + 140000)
+    assertThrows[ExpressionTooLargeException](parsePredicate(s"a = '$lit'"))
+  }
+
   test("predicate under the limit parses") {
     val s = "a = '" + "x" * 1000 + "'"
     assert(parsePredicate(s).isInstanceOf[Cmp])

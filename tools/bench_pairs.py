@@ -14,8 +14,9 @@ per workload and metric, each side's median and quartiles, how many pairs the
 working tree won, and every failed operation or run. After the table, each
 end-to-end metric of BENCHMARK.json gets a verdict against its bound:
 `worse` if the working tree's median is worse than the base's by more than
-the bound, else `unresolved` if the base's interquartile range is wider than
-the bound (relative to its median), else `ok`.
+the bound, else `ok` if every working-tree run is better than every base
+run, else `unresolved` if the base's interquartile range is wider than the
+bound (relative to its median), else `ok`.
 
 With `--claim METRIC WORKLOAD`, the script also prints whether a claimed gain
 on that metric and workload is `met`: the working tree wins at least nine
@@ -90,6 +91,10 @@ def verdict(b, w, up, bound):
     worse_by = relative(wq[1], bq[1]) * (-1 if up else 1)
     if worse_by > bound:
         return "worse"
+    # runs that do not overlap, all in the better direction, resolve the
+    # metric however wide the base's spread
+    if (min(w) > max(b)) if up else (max(w) < min(b)):
+        return "ok"
     if relative(bq[2], bq[1]) - relative(bq[0], bq[1]) > bound:
         return "unresolved"
     return "ok"
